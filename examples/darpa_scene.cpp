@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <string>
 
 #include "histcc/histcc.hpp"
 
@@ -27,34 +29,42 @@ int main(int argc, char** argv) {
                                      "scene_tiles");
   layout.scatter(scene, tiles);
 
-  hist::HistPhases hist_phases;
-  const auto counts =
-      hist::histogram_parallel(machine, layout, tiles, 256, &hist_phases);
+  trace::Tracer tracer;
+  machine.set_trace(&tracer);
+  const auto counts = hist::histogram_parallel(machine, layout, tiles, 256);
+  cc::CcOptions options;
+  options.rule = ccseq::ColourRule::kSameColour;
+  util::Timer timer;
+  auto labels =
+      cc::connected_components_parallel(machine, layout, tiles, options);
+  const double wall = timer.seconds();
+
+  // Phase times are the kernels' trace spans: the slowest rank's summed
+  // time in each.
+  std::map<std::string, trace::PhaseRow> phase;
+  for (const auto& row : trace::phase_breakdown(tracer, splitc::host())) {
+    phase[row.name] = row;
+  }
+  const auto ms = [&phase](const char* name) {
+    return phase[name].wall_s * 1e3;
+  };
+
   std::size_t used_levels = 0;
   for (const auto c : counts) used_levels += c != 0;
   std::printf("histogram: %zu of 256 levels used; phases: tally %.3f ms, "
               "transpose %.3f ms, combine %.3f ms, gather %.3f ms\n",
-              used_levels, hist_phases.tally_s * 1e3,
-              hist_phases.transpose_s * 1e3, hist_phases.combine_s * 1e3,
-              hist_phases.gather_s * 1e3);
-
-  cc::CcOptions options;
-  options.rule = ccseq::ColourRule::kSameColour;
-  cc::CcPhases cc_phases;
-  util::Timer timer;
-  auto labels = cc::connected_components_parallel(machine, layout, tiles,
-                                                  options, &cc_phases);
-  const double wall = timer.seconds();
+              used_levels, ms("hist/tally"), ms("hist/transpose"),
+              ms("hist/combine"), ms("hist/gather"));
 
   auto sizes = ccseq::component_sizes(labels);
   std::printf("connected components: %zu components in %.3f ms wall "
-              "(%u merge phases)\n",
-              sizes.size(), wall * 1e3, cc_phases.merge_phases);
+              "(%llu merge phases)\n",
+              sizes.size(), wall * 1e3,
+              static_cast<unsigned long long>(phase["cc/border"].spans / p));
   std::printf("  phases: init %.3f ms, border %.3f ms, graph %.3f ms, "
               "update %.3f ms, final %.3f ms\n",
-              cc_phases.init_s * 1e3, cc_phases.border_s * 1e3,
-              cc_phases.graph_s * 1e3, cc_phases.update_s * 1e3,
-              cc_phases.final_s * 1e3);
+              ms("cc/init"), ms("cc/border"), ms("cc/graph"), ms("cc/update"),
+              ms("cc/final"));
   std::printf("  largest components (px):");
   for (std::size_t i = 0; i < sizes.size() && i < 5; ++i) {
     std::printf(" %llu", static_cast<unsigned long long>(sizes[i].pixels));

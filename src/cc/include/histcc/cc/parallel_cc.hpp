@@ -54,16 +54,6 @@ struct CcOptions {
   bool full_relabel_each_phase = false;
 };
 
-/// Wall-clock phase split measured on processor 0 between barriers.
-struct CcPhases {
-  double init_s = 0;    ///< tile labeling + hook creation
-  double border_s = 0;  ///< border packing, fetching, sorting (comm-heavy)
-  double graph_s = 0;   ///< border-graph connected components + Procedure 1
-  double update_s = 0;  ///< change distribution + border label updates
-  double final_s = 0;   ///< total consistency update of interiors
-  std::uint32_t merge_phases = 0;  ///< log p
-};
-
 /// Run the parallel algorithm over an already-distributed image, leaving
 /// the labeling distributed in `labels` (one tile block per processor,
 /// matching `layout`).  This is the primitive the other overloads wrap;
@@ -73,20 +63,18 @@ void connected_components_parallel(splitc::Machine& machine,
                                    const img::TileLayout& layout,
                                    splitc::Spread<std::uint8_t>& tiles,
                                    splitc::Spread<std::uint32_t>& labels,
-                                   const CcOptions& options = {},
-                                   CcPhases* phases = nullptr);
+                                   const CcOptions& options = {});
 
 /// Run the parallel algorithm over an already-distributed image; returns
 /// the assembled labeling.  Collective: call from the host.
 [[nodiscard]] img::LabelImage connected_components_parallel(
     splitc::Machine& machine, const img::TileLayout& layout,
-    splitc::Spread<std::uint8_t>& tiles, const CcOptions& options = {},
-    CcPhases* phases = nullptr);
+    splitc::Spread<std::uint8_t>& tiles, const CcOptions& options = {});
 
 /// Convenience wrapper: distribute `image` over `machine` and label it.
 [[nodiscard]] img::LabelImage connected_components_parallel(
     splitc::Machine& machine, const img::GreyImage& image,
-    const CcOptions& options = {}, CcPhases* phases = nullptr);
+    const CcOptions& options = {});
 
 }  // namespace histcc::cc
 

@@ -10,7 +10,6 @@
 #include "histcc/cc_seq/bfs_label.hpp"
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/require.hpp"
-#include "histcc/util/timer.hpp"
 
 namespace histcc::cc {
 namespace {
@@ -45,8 +44,7 @@ void connected_components_parallel(splitc::Machine& machine,
                                    const img::TileLayout& layout,
                                    splitc::Spread<std::uint8_t>& tiles,
                                    splitc::Spread<std::uint32_t>& labels,
-                                   const CcOptions& options,
-                                   CcPhases* phases) {
+                                   const CcOptions& options) {
   HISTCC_REQUIRE(tiles.nprocs() == machine.nprocs() &&
                      layout.spread_fits(tiles),
                  "tiles spread does not fit layout (Spread '" +
@@ -67,9 +65,6 @@ void connected_components_parallel(splitc::Machine& machine,
   splitc::SpreadVec<ChangePair> chg(machine, "chg");        // manager's change list
   splitc::SpreadVec<ChangePair> stage(machine, "stage");    // eq. (9) staging
 
-  CcPhases local_phases;
-  local_phases.merge_phases = static_cast<std::uint32_t>(schedule.size());
-
   machine.run([&](splitc::Proc& self) {
     ProcState st;
     const std::uint32_t rank = self.rank();
@@ -80,8 +75,6 @@ void connected_components_parallel(splitc::Machine& machine,
     const bool nonempty = q > 0 && r > 0;
     const std::uint32_t grid_row = layout.proc_row(rank);
     const std::uint32_t grid_col = layout.proc_col(rank);
-    const bool timing = rank == 0;
-    util::Timer timer;
 
     // -------- Phase 0: initialization (Section 5.1) --------
     auto my_px = tiles.local(self);
@@ -101,7 +94,6 @@ void connected_components_parallel(splitc::Machine& machine,
       }
       self.barrier();
     }
-    if (timing) local_phases.init_s = timer.seconds();
 
     // -------- log p merge iterations (Sections 5.2-5.4) --------
     for (const auto& phase : schedule) {
@@ -130,7 +122,6 @@ void connected_components_parallel(splitc::Machine& machine,
       const std::size_t side_len = strip_off[group.side_procs];
 
       // Pack my strip of the border, if I own one (and it is live).
-      timer.reset();
       const bool is_manager = rank == group.manager;
       const bool is_shadow =
           options.use_shadow_manager && rank == group.shadow;
@@ -238,10 +229,8 @@ void connected_components_parallel(splitc::Machine& machine,
         }
         self.barrier();  // publish shadow aggregates
       }
-      if (timing) local_phases.border_s += timer.seconds();
 
       // Manager: solve the border-graph problem, publish the change array.
-      timer.reset();
       TRACE_SPAN(self, "cc/graph") {
         if (is_manager) {
           if (options.use_shadow_manager) {
@@ -266,10 +255,8 @@ void connected_components_parallel(splitc::Machine& machine,
         }
         self.barrier();  // publish change array
       }
-      if (timing) local_phases.graph_s += timer.seconds();
 
       // Distribute the change array to the group and update borders.
-      timer.reset();
       TRACE_SPAN(self, "cc/update") {
         const std::size_t total_changes = chg.size_of(self, group.manager);
         if (options.eq9_distribution) {
@@ -304,11 +291,9 @@ void connected_components_parallel(splitc::Machine& machine,
         }
         self.barrier();  // end of merge iteration
       }
-      if (timing) local_phases.update_s += timer.seconds();
     }
 
     // -------- Total consistency update --------
-    timer.reset();
     TRACE_SPAN(self, "cc/final") {
       if (!options.full_relabel_each_phase && nonempty) {
         relabel_interior(my_lb, q, r, st.hooks, options.connectivity,
@@ -318,34 +303,27 @@ void connected_components_parallel(splitc::Machine& machine,
       }
       self.barrier();
     }
-    if (timing) local_phases.final_s = timer.seconds();
   });
-
-  if (phases != nullptr) *phases = local_phases;
 }
 
 img::LabelImage connected_components_parallel(splitc::Machine& machine,
                                               const img::TileLayout& layout,
                                               splitc::Spread<std::uint8_t>& tiles,
-                                              const CcOptions& options,
-                                              CcPhases* phases) {
+                                              const CcOptions& options) {
   splitc::Spread<std::uint32_t> labels(machine, layout.tile_sizes(),
                                        "labels");
-  connected_components_parallel(machine, layout, tiles, labels, options,
-                                phases);
+  connected_components_parallel(machine, layout, tiles, labels, options);
   return layout.gather(labels);
 }
 
 img::LabelImage connected_components_parallel(splitc::Machine& machine,
                                               const img::GreyImage& image,
-                                              const CcOptions& options,
-                                              CcPhases* phases) {
+                                              const CcOptions& options) {
   const img::TileLayout layout(image.height(), image.width(),
                                machine.nprocs());
   splitc::Spread<std::uint8_t> tiles(machine, layout.tile_sizes(), "tiles");
   layout.scatter(image, tiles);
-  return connected_components_parallel(machine, layout, tiles, options,
-                                       phases);
+  return connected_components_parallel(machine, layout, tiles, options);
 }
 
 }  // namespace histcc::cc

@@ -25,7 +25,6 @@
 /// applications want: construct a `Machine` with the desired virtual
 /// processor count, then histogram / label host images directly.
 
-#include "histcc/bdm/collectives.hpp"
 #include "histcc/bdm/primitives.hpp"
 #include "histcc/cc/border_graph.hpp"
 #include "histcc/cc/hooks.hpp"

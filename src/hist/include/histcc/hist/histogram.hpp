@@ -31,16 +31,6 @@
 
 namespace histcc::hist {
 
-/// Wall-clock split of the parallel algorithm's phases, measured on
-/// processor 0 between barriers; mirrors the computation-vs-communication
-/// plots of Figure 11.
-struct HistPhases {
-  double tally_s = 0;      ///< local tallying (computation)
-  double transpose_s = 0;  ///< (truncated) matrix transpose (communication)
-  double combine_s = 0;    ///< local combining (computation)
-  double gather_s = 0;     ///< circular collection onto P0 (communication)
-};
-
 /// Trace span names of the four steps, in execution order — the single
 /// source of truth shared by the kernel's TRACE_SCOPE sites, the
 /// Fig. 11 bench's step table, and the trace tests, so the live trace
@@ -59,13 +49,11 @@ inline constexpr std::array<const char*, 4> kHistStepSpans = {
 /// `tiles` must hold the image distributed per `layout`.
 [[nodiscard]] std::vector<std::uint32_t> histogram_parallel(
     splitc::Machine& machine, const img::TileLayout& layout,
-    splitc::Spread<std::uint8_t>& tiles, std::uint32_t k,
-    HistPhases* phases = nullptr);
+    splitc::Spread<std::uint8_t>& tiles, std::uint32_t k);
 
 /// Convenience wrapper: distribute `image` over `machine` and histogram it.
 [[nodiscard]] std::vector<std::uint32_t> histogram_parallel(
-    splitc::Machine& machine, const img::GreyImage& image, std::uint32_t k,
-    HistPhases* phases = nullptr);
+    splitc::Machine& machine, const img::GreyImage& image, std::uint32_t k);
 
 }  // namespace histcc::hist
 

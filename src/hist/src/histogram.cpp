@@ -6,7 +6,6 @@
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/math.hpp"
 #include "histcc/util/require.hpp"
-#include "histcc/util/timer.hpp"
 
 namespace histcc::hist {
 namespace {
@@ -32,8 +31,7 @@ std::vector<std::uint32_t> histogram_seq(const img::GreyImage& image,
 std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
                                               const img::TileLayout& layout,
                                               splitc::Spread<std::uint8_t>& tiles,
-                                              std::uint32_t k,
-                                              HistPhases* phases) {
+                                              std::uint32_t k) {
   require_k(k);
   HISTCC_REQUIRE(tiles.nprocs() == machine.nprocs() &&
                      layout.spread_fits(tiles),
@@ -54,14 +52,9 @@ std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
   // The k-bar histogram, assembled on P0.
   splitc::Spread<std::uint32_t> result(machine, k, "hist_result");
 
-  HistPhases local_phases;
   machine.run([&](splitc::Proc& self) {
-    util::Timer timer;
-    const bool timing = self.rank() == 0;
-
     // Step 1: tally my tile.  O(n^2 / p) local work.
-    {
-      TRACE_SCOPE(self, kHistStepSpans[0]);
+    TRACE_SPAN(self, kHistStepSpans[0]) {
       auto h = local_h.local(self);
       auto px = tiles.local(self);
       const std::size_t count = layout.tile_size(self.rank());
@@ -74,12 +67,10 @@ std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
       }
       self.charge_ops(count);
       self.barrier();
-      if (timing) local_phases.tally_s = timer.seconds();
     }
 
     // Step 2: rearrange tallies so each grey level's partial counts share a
     // processor.
-    timer.reset();
     TRACE_SPAN(self, kHistStepSpans[1]) {
       if (k >= p) {
         bdm::transpose(self, trans, local_h, k);
@@ -88,12 +79,9 @@ std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
       }
       self.barrier();
     }
-    if (timing) local_phases.transpose_s = timer.seconds();
 
     // Step 3: combine partial counts locally.  O(k) per processor.
-    timer.reset();
-    {
-      TRACE_SCOPE(self, kHistStepSpans[2]);
+    TRACE_SPAN(self, kHistStepSpans[2]) {
       auto in = trans.local(self);
       auto out = combined.local(self);
       if (k >= p) {
@@ -115,35 +103,30 @@ std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
         self.charge_ops(p);
       }
       self.barrier();
-      if (timing) local_phases.combine_s = timer.seconds();
     }
 
     // Step 4: P0 collects the k bars with a circular prefetch.
-    timer.reset();
     const std::uint32_t nblocks = k >= p ? p : k;
     TRACE_SPAN(self, kHistStepSpans[3]) {
       bdm::gather_to_root(self, result, combined, bars_per_proc, 0, 0,
                           nblocks);
       self.barrier();
     }
-    if (timing) local_phases.gather_s = timer.seconds();
   });
 
-  if (phases != nullptr) *phases = local_phases;
   auto root_block = result.block(0);
   return std::vector<std::uint32_t>(root_block.begin(), root_block.begin() + k);
 }
 
 std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
                                               const img::GreyImage& image,
-                                              std::uint32_t k,
-                                              HistPhases* phases) {
+                                              std::uint32_t k) {
   const img::TileLayout layout(image.height(), image.width(),
                                machine.nprocs());
   splitc::Spread<std::uint8_t> tiles(machine, layout.tile_sizes(),
                                      "hist_tiles");
   layout.scatter(image, tiles);
-  return histogram_parallel(machine, layout, tiles, k, phases);
+  return histogram_parallel(machine, layout, tiles, k);
 }
 
 }  // namespace histcc::hist

@@ -9,8 +9,8 @@
 /// `Image<T>` is deliberately minimal: a shaped vector with bounds-checked
 /// and unchecked accessors.  `GreyImage` (8-bit pixels) holds inputs;
 /// `LabelImage` (32-bit) holds connected-component labelings — initial
-/// labels are (I*q + i)*n + (J*r + j) + 1 <= n^2, which fits 32 bits for
-/// every image size the paper uses (n <= 4096).
+/// labels are (I*q + i)*n + (J*r + j) + 1 <= H*W, and every image holds
+/// fewer than 2^32 pixels (kLabelSpace), so no label wraps to 0.
 
 #include <cstdint>
 #include <span>
@@ -20,17 +20,23 @@
 
 namespace histcc::img {
 
+/// Every image shape must satisfy H*W < kLabelSpace: a pixel's 1-based
+/// raster label (at most H*W) then fits 32 bits instead of wrapping to 0,
+/// the background label.
+inline constexpr std::uint64_t kLabelSpace = std::uint64_t{1} << 32;
+
 /// Row-major 2-D array of pixels.
 template <typename T>
 class Image {
  public:
   Image() = default;
 
-  /// Create a height x width image filled with `fill`.
+  /// Create a height x width image filled with `fill`.  Requires
+  /// height * width < kLabelSpace, checked before allocating.
   Image(std::uint32_t height, std::uint32_t width, T fill = T{})
       : height_(height),
         width_(width),
-        pixels_(static_cast<std::size_t>(height) * width, fill) {}
+        pixels_(checked_size(height, width), fill) {}
 
   [[nodiscard]] std::uint32_t height() const noexcept { return height_; }
   [[nodiscard]] std::uint32_t width() const noexcept { return width_; }
@@ -69,6 +75,14 @@ class Image {
   }
 
  private:
+  [[nodiscard]] static std::size_t checked_size(std::uint32_t height,
+                                                std::uint32_t width) {
+    const std::uint64_t size = std::uint64_t{height} * width;
+    HISTCC_REQUIRE(size < kLabelSpace,
+                   "image must have fewer than 2^32 pixels");
+    return static_cast<std::size_t>(size);
+  }
+
   std::uint32_t height_ = 0;
   std::uint32_t width_ = 0;
   std::vector<T> pixels_;

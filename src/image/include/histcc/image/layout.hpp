@@ -57,7 +57,8 @@ namespace histcc::img {
 /// Tile geometry for an H x W image on p processors.
 class TileLayout {
  public:
-  /// \param height image rows (> 0); \param width image columns (> 0);
+  /// \param height image rows (> 0); \param width image columns (> 0),
+  /// with height * width < kLabelSpace;
   /// \param p processor count (power of two).  Any rectangular shape is
   /// accepted; edge tiles shrink (possibly to empty) instead of the
   /// paper's divisibility requirement.
@@ -67,6 +68,8 @@ class TileLayout {
   TileLayout(std::uint32_t height, std::uint32_t width, std::uint32_t p)
       : height_(height), width_(width), p_(p), grid_(util::grid_shape(p)) {
     HISTCC_REQUIRE(height > 0 && width > 0, "image must be non-empty");
+    HISTCC_REQUIRE(pixels() < kLabelSpace,
+                   "image must have fewer than 2^32 pixels");
     HISTCC_REQUIRE(util::is_pow2(p), "processor count must be a power of two");
     qmax_ = util::ceil_div(height, grid_.rows);
     rmax_ = util::ceil_div(width, grid_.cols);

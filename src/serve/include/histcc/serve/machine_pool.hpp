@@ -4,9 +4,8 @@
 /// \file machine_pool.hpp
 /// A pool of persistent, reusable SPMD machines.
 ///
-/// Every `Machine` here is built in WorkerMode::kPersistent: its p worker
-/// threads are spawned once and parked between jobs, so consecutive jobs
-/// on a slot pay a condition-variable wakeup instead of p thread
+/// A `Machine` parks its worker threads between programs, so consecutive
+/// jobs on a slot pay a condition-variable wakeup instead of thread
 /// creations.  acquire(p) hands out an idle slot as a RAII lease,
 /// preferring a slot that already holds a machine of the requested size.
 /// Each slot keeps a small cache of warm machines, one per distinct

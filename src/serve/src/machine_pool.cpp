@@ -70,8 +70,7 @@ MachinePool::Lease MachinePool::acquire(std::uint32_t procs) {
         entry->machine.reset();
       }
       if (!entry->machine) {
-        entry->machine = std::make_unique<splitc::Machine>(
-            procs, splitc::WorkerMode::kPersistent);
+        entry->machine = std::make_unique<splitc::Machine>(procs);
         entry->machine->set_spread_layout(spread_layout_);
         built_ += 1;
       }

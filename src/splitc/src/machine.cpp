@@ -51,13 +51,12 @@ void Proc::barrier() {
   epoch_ += 1;
 }
 
-Machine::Machine(std::uint32_t nprocs, WorkerMode mode)
+Machine::Machine(std::uint32_t nprocs)
     : nprocs_(nprocs),
       grid_(util::GridShape{1, 1}),
       barrier_(nprocs),
       stats_(nprocs),
-      served_(std::make_unique<std::atomic<std::uint64_t>[]>(nprocs)),
-      mode_(mode) {
+      served_(std::make_unique<std::atomic<std::uint64_t>[]>(nprocs)) {
   HISTCC_REQUIRE(nprocs >= 1 && util::is_pow2(nprocs),
                  "processor count must be a power of two");
   grid_ = util::grid_shape(nprocs);
@@ -122,15 +121,6 @@ void Machine::execute_as(std::uint32_t rank,
   }
 }
 
-void Machine::run_per_run(const std::function<void(Proc&)>& program) {
-  std::vector<std::thread> threads;
-  threads.reserve(nprocs_);
-  for (std::uint32_t rank = 0; rank < nprocs_; ++rank) {
-    threads.emplace_back([&, rank] { execute_as(rank, program); });
-  }
-  for (auto& t : threads) t.join();
-}
-
 void Machine::start_workers() {
   if (!workers_.empty()) return;
   workers_.reserve(nprocs_);
@@ -169,17 +159,6 @@ void Machine::stop_workers() noexcept {
   workers_stop_ = false;
 }
 
-void Machine::run_persistent(const std::function<void(Proc&)>& program) {
-  start_workers();
-  std::unique_lock lock(ctl_mutex_);
-  job_program_ = &program;
-  job_remaining_ = nprocs_;
-  ++job_generation_;
-  ctl_cv_.notify_all();
-  done_cv_.wait(lock, [&] { return job_remaining_ == 0; });
-  job_program_ = nullptr;
-}
-
 void Machine::run(const std::function<void(Proc&)>& program) {
   HISTCC_REQUIRE(static_cast<bool>(program), "program must be callable");
   HISTCC_REQUIRE(!running_, "Machine::run is not reentrant");
@@ -193,37 +172,36 @@ void Machine::run(const std::function<void(Proc&)>& program) {
   if (race_ledger_) race_ledger_->reset();
   first_error_ = nullptr;
 
-  // Throws RaceLedgerViolation if the last program's accesses violated
-  // the barrier-epoch publication discipline.
-  auto check_race_ledger = [this] {
-    if (race_ledger_enabled_ && race_policy_ == RacePolicy::kThrow &&
-        race_ledger_->conflict_count() > 0) {
-      throw RaceLedgerViolation(race_ledger_->format_report());
-    }
-  };
-
   if (nprocs_ == 1) {
-    // Degenerate single-processor machine: run inline, no threads.
-    Proc proc(0, 1, grid_, &barrier_, &stats_[0], served_.get());
-    proc.perturb_state_ = perturb_state_for(0);
-    proc.tracer_ = tracer_;
-    program(proc);
-    check_race_ledger();
-    return;
+    // A single rank needs no thread.
+    execute_as(0, program);
+  } else {
+    // Every rank runs on a worker, none on the caller: a caller that
+    // also allocates the job's host buffers (a serve worker) would
+    // otherwise interleave rank 0's small heap blocks with them, and the
+    // allocator could no longer return that memory between jobs.
+    start_workers();
+    std::unique_lock lock(ctl_mutex_);
+    job_program_ = &program;
+    job_remaining_ = nprocs_;
+    ++job_generation_;
+    ctl_cv_.notify_all();
+    done_cv_.wait(lock, [&] { return job_remaining_ == 0; });
+    job_program_ = nullptr;
   }
 
-  if (mode_ == WorkerMode::kPersistent) {
-    run_persistent(program);
-  } else {
-    run_per_run(program);
-  }
   std::exception_ptr error;
   {
     std::scoped_lock lock(error_mutex_);
     error = std::exchange(first_error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
-  check_race_ledger();
+  // Throws RaceLedgerViolation if the program's accesses violated the
+  // barrier-epoch publication discipline.
+  if (race_ledger_enabled_ && race_policy_ == RacePolicy::kThrow &&
+      race_ledger_->conflict_count() > 0) {
+    throw RaceLedgerViolation(race_ledger_->format_report());
+  }
 }
 
 const CommStats& Machine::stats(std::uint32_t rank) const {

@@ -249,7 +249,7 @@ void write_phase_report(const Tracer& tracer,
          << std::setprecision(4) << row.modeled_comm_s * n * 1e3;
     if (any_sampled) {
       if (row.sample_every > 1) {
-        body << std::setw(8) << ("x" + std::to_string(row.sample_every));
+        body << std::setw(8) << ('x' + std::to_string(row.sample_every));
       } else {
         body << std::setw(8) << "";
       }

@@ -4,16 +4,23 @@
 // colour rules, and all option ablations.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "histcc/cc/parallel_cc.hpp"
 #include "histcc/cc_seq/analysis.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
 #include "histcc/image/generators.hpp"
 #include "histcc/splitc/machine.hpp"
+#include "histcc/splitc/profile.hpp"
+#include "histcc/trace/export.hpp"
+#include "histcc/trace/trace.hpp"
 
 namespace cc = histcc::cc;
 namespace cs = histcc::ccseq;
 namespace im = histcc::img;
 namespace sc = histcc::splitc;
+namespace tr = histcc::trace;
 
 namespace {
 
@@ -165,16 +172,25 @@ TEST(CcParallelTest, LargerImageAt32Procs) {
   expect_matches_sequential(image, 32, options, "darpa-128");
 }
 
+// Phase times are reported through trace spans (trace::phase_breakdown).
 TEST(CcParallelTest, PhasesReported) {
   const auto image = im::make_percolation(64, 0.5, 11);
   sc::Machine machine(16);
-  cc::CcPhases phases;
-  (void)cc::connected_components_parallel(machine, image, {}, &phases);
-  EXPECT_EQ(phases.merge_phases, 4u);  // log 16
-  EXPECT_GT(phases.init_s, 0.0);
-  EXPECT_GT(phases.border_s, 0.0);
-  EXPECT_GT(phases.update_s, 0.0);
-  EXPECT_GT(phases.final_s, 0.0);
+  tr::Tracer tracer;
+  machine.set_trace(&tracer);
+  (void)cc::connected_components_parallel(machine, image);
+  machine.set_trace(nullptr);
+  std::map<std::string, tr::PhaseRow> rows;
+  for (const auto& row : tr::phase_breakdown(tracer, sc::cm5())) {
+    rows[row.name] = row;
+  }
+  // log 16 = 4 merge phases on each of the 16 ranks.
+  EXPECT_EQ(rows["cc/border"].spans, 16u * 4u);
+  EXPECT_EQ(rows["cc/update"].spans, 16u * 4u);
+  EXPECT_GT(rows["cc/init"].wall_s, 0.0);
+  EXPECT_GT(rows["cc/border"].wall_s, 0.0);
+  EXPECT_GT(rows["cc/update"].wall_s, 0.0);
+  EXPECT_GT(rows["cc/final"].wall_s, 0.0);
 }
 
 TEST(CcParallelTest, CommCostFarBelowImageSize) {

@@ -3,18 +3,24 @@
 // correctness criteria (sum = n^2, exact band areas), and equalization.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "histcc/hist/equalize.hpp"
 #include "histcc/hist/histogram.hpp"
 #include "histcc/image/generators.hpp"
 #include "histcc/splitc/machine.hpp"
+#include "histcc/splitc/profile.hpp"
+#include "histcc/trace/export.hpp"
+#include "histcc/trace/trace.hpp"
 #include "histcc/util/require.hpp"
 #include "histcc/util/rng.hpp"
 
 namespace hh = histcc::hist;
 namespace im = histcc::img;
 namespace sc = histcc::splitc;
+namespace tr = histcc::trace;
 
 TEST(HistogramSeqTest, CountsAreExact) {
   im::GreyImage image(2, 4, 0);
@@ -89,15 +95,22 @@ TEST(HistParallelTest, WorksOnPredistributedTiles) {
   EXPECT_EQ(counts, hh::histogram_seq(image, k));
 }
 
+// Phase times are reported through trace spans (trace::phase_breakdown).
 TEST(HistParallelTest, PhaseTimesArePopulated) {
   const auto image = im::make_random_grey(128, 256, 5);
   sc::Machine machine(4);
-  hh::HistPhases phases;
-  (void)hh::histogram_parallel(machine, image, 256, &phases);
-  EXPECT_GT(phases.tally_s, 0.0);
-  EXPECT_GT(phases.transpose_s, 0.0);
-  EXPECT_GT(phases.combine_s, 0.0);
-  EXPECT_GT(phases.gather_s, 0.0);
+  tr::Tracer tracer;
+  machine.set_trace(&tracer);
+  (void)hh::histogram_parallel(machine, image, 256);
+  machine.set_trace(nullptr);
+  std::map<std::string, double> wall_s;
+  for (const auto& row : tr::phase_breakdown(tracer, sc::cm5())) {
+    wall_s[row.name] = row.wall_s;
+  }
+  EXPECT_GT(wall_s["hist/tally"], 0.0);
+  EXPECT_GT(wall_s["hist/transpose"], 0.0);
+  EXPECT_GT(wall_s["hist/combine"], 0.0);
+  EXPECT_GT(wall_s["hist/gather"], 0.0);
 }
 
 // Eq. (3): communication volume is independent of the image size n.

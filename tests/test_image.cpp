@@ -113,16 +113,24 @@ TEST(LayoutTest, InitialLabelFormula) {
   const im::TileLayout layout(512, 32);
   EXPECT_EQ(layout.initial_label(0, 0, 0), 1u);
   EXPECT_EQ(layout.initial_label(9, 2, 3), (128u + 2) * 512 + 64 + 3 + 1);
+  // 65535 x 65537 = 2^32 - 1 pixels, the largest label space: the last
+  // pixel takes the top 32-bit label.
+  const im::TileLayout widest(65535, 65537, 4);
+  EXPECT_EQ(widest.initial_label(3, widest.tile_rows(3) - 1,
+                                 widest.tile_cols(3) - 1),
+            0xFFFFFFFFu);
 }
 
 TEST(LayoutTest, RejectsBadShapes) {
   // Non-divisible and non-square shapes are fine now; only a non-power-of-
-  // two processor count or an empty image is rejected.
+  // two processor count, an empty image, or one of 2^32 or more pixels
+  // (whose last label would wrap to 0, the background) is rejected.
   EXPECT_NO_THROW(im::TileLayout(100, 32));
   EXPECT_NO_THROW(im::TileLayout(97, 63, 4));
   EXPECT_THROW(im::TileLayout(512, 31), histcc::util::contract_error);
   EXPECT_THROW(im::TileLayout(0, 4), histcc::util::contract_error);
   EXPECT_THROW(im::TileLayout(512, 0, 4), histcc::util::contract_error);
+  EXPECT_THROW(im::TileLayout(65536, 65536, 4), histcc::util::contract_error);
 }
 
 class ScatterGatherTest : public ::testing::TestWithParam<std::uint32_t> {};

@@ -106,8 +106,11 @@ TEST(PgmFuzzTest, RandomBytesNeverCrash) {
 }
 
 TEST(PgmFuzzTest, HeaderEdgeCases) {
+  // 65536 x 65536 is 2^32 pixels, one past the 32-bit label space: it
+  // must be rejected before the 4 GiB allocation.
   for (const char* bad : {"", "P", "P5", "P5\n0 4\n255\n", "P5\n4 0\n255\n",
-                          "P5\n4 4\n0\n", "P6\n4 4\n255\n", "P5\n-1 4\n255\n"}) {
+                          "P5\n4 4\n0\n", "P6\n4 4\n255\n", "P5\n-1 4\n255\n",
+                          "P5\n65536 65536\n255\n"}) {
     std::stringstream stream(bad);
     EXPECT_THROW((void)img::read_pgm(stream), util::contract_error)
         << "input: " << bad;

@@ -411,36 +411,11 @@ TEST(MachineReuseTest, LedgerDiagnosticsClearedBetweenRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent worker mode (WorkerMode::kPersistent): warm parked threads
-// instead of per-run spawn/join, observationally identical to kPerRun.
-
-TEST(PersistentModeTest, MatchesPerRunResults) {
-  sc::Machine per_run(4, sc::WorkerMode::kPerRun);
-  sc::Machine persistent(4, sc::WorkerMode::kPersistent);
-  const auto program = [](sc::Machine& m) {
-    sc::Spread<std::uint32_t> a(m, 8);
-    m.run([&](sc::Proc& self) {
-      for (auto& x : a.local(self)) x = self.rank() + 1;
-      self.barrier();
-      std::vector<std::uint32_t> buf(8);
-      a.prefetch(self, buf, (self.rank() + 1) % 4, 0, 8);
-      self.sync();
-      self.barrier();
-    });
-    std::vector<std::uint32_t> flat;
-    for (std::uint32_t rank = 0; rank < 4; ++rank) {
-      for (const auto x : a.block(rank)) flat.push_back(x);
-    }
-    return std::pair{flat, m.total_stats().words};
-  };
-  const auto a = program(per_run);
-  const auto b = program(persistent);
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-}
+// Persistent workers: one parked thread per rank, started by the first
+// run() instead of spawned and joined per run.
 
 TEST(PersistentModeTest, WorkerThreadsPersistAcrossRuns) {
-  sc::Machine m(4, sc::WorkerMode::kPersistent);
+  sc::Machine m(4);
   std::vector<std::thread::id> first(4), second(4);
   m.run([&](sc::Proc& self) {
     first[self.rank()] = std::this_thread::get_id();
@@ -449,7 +424,7 @@ TEST(PersistentModeTest, WorkerThreadsPersistAcrossRuns) {
     second[self.rank()] = std::this_thread::get_id();
   });
   // Same parked thread serves the same rank in both programs — the whole
-  // point of the mode: no per-run thread churn for a pooled machine.
+  // point of persistent workers: no per-run thread churn.
   EXPECT_EQ(first, second);
   for (std::uint32_t i = 0; i < 4; ++i) {
     for (std::uint32_t j = i + 1; j < 4; ++j) {
@@ -459,7 +434,7 @@ TEST(PersistentModeTest, WorkerThreadsPersistAcrossRuns) {
 }
 
 TEST(PersistentModeTest, UsableAfterException) {
-  sc::Machine m(4, sc::WorkerMode::kPersistent);
+  sc::Machine m(4);
   EXPECT_THROW(m.run([&](sc::Proc& self) {
     if (self.rank() == 1) throw std::runtime_error("job failed");
     self.barrier();
@@ -475,7 +450,7 @@ TEST(PersistentModeTest, UsableAfterException) {
 }
 
 TEST(PersistentModeTest, ManyConsecutiveRuns) {
-  sc::Machine m(8, sc::WorkerMode::kPersistent);
+  sc::Machine m(8);
   std::atomic<int> total{0};
   for (int i = 0; i < 32; ++i) {
     m.run([&](sc::Proc& self) {

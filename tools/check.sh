@@ -11,14 +11,14 @@
 #   JOBS=8 tools/check.sh              # override parallelism
 #   SPMDLINT_NO_BASELINE=1 tools/check.sh lint-spmd   # report ALL findings
 #
-# Stages: plain, asan-ubsan, tsan, race-ledger, trace, bench-diff,
-# lint-spmd, tidy.
+# Stages: plain, release, asan-ubsan, tsan, race-ledger, trace,
+# bench-diff, lint-spmd, tidy.
 # Exit status is non-zero iff any requested stage fails; a stage that
 # cannot run here (clang-tidy not installed) is recorded as SKIP, which
 # does not fail the script.  A per-stage PASS/FAIL/SKIP table is printed
 # at the end regardless of where a failure occurred.
 #
-# Test labels: the plain/asan-ubsan/tsan ctest presets exclude tests
+# Test labels: the plain/release/asan-ubsan/tsan ctest presets exclude tests
 # labelled `slow` (the differential conformance and schedule-stress
 # layers) to keep feedback fast; the race-ledger preset runs everything.
 # Select manually with `ctest -L ledger` / `ctest -L lint` / `ctest -LE
@@ -30,7 +30,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(plain asan-ubsan tsan race-ledger trace bench-diff lint-spmd tidy)
+  STAGES=(plain release asan-ubsan tsan race-ledger trace bench-diff lint-spmd
+    tidy)
 fi
 
 # Per-stage results, aggregated into the summary table and the exit code.
@@ -178,7 +179,7 @@ run_tidy() {
 
 for stage in "${STAGES[@]}"; do
   case "${stage}" in
-    plain | asan-ubsan | tsan | race-ledger) run_preset "${stage}" ;;
+    plain | release | asan-ubsan | tsan | race-ledger) run_preset "${stage}" ;;
     trace) run_trace ;;
     bench-diff) run_bench_diff ;;
     lint-spmd) run_lint_spmd ;;

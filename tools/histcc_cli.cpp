@@ -150,8 +150,13 @@ int cmd_histogram(const Args& args) {
   const std::uint32_t p = args.get_u32("p", 16);
   splitc::Machine machine(p);
   attach_env_trace(machine);
-  hist::HistPhases phases;
-  const auto counts = hist::histogram_parallel(machine, image, k, &phases);
+  // --phases reads the step times from the kernel's trace spans, through
+  // HISTCC_TRACE's tracer when one is attached.
+  trace::Tracer phase_tracer;
+  if (args.has("phases") && machine.tracer() == nullptr) {
+    machine.set_trace(&phase_tracer);
+  }
+  const auto counts = hist::histogram_parallel(machine, image, k);
   std::uint64_t total = 0;
   for (const auto c : counts) total += c;
   std::printf("histogram of %ux%u image, k=%u, p=%u (%llu pixels)\n",
@@ -161,10 +166,16 @@ int cmd_histogram(const Args& args) {
     if (counts[g] != 0) std::printf("%4u %u\n", g, counts[g]);
   }
   if (args.has("phases")) {
-    std::printf("phases: tally %.3fms transpose %.3fms combine %.3fms "
-                "gather %.3fms\n",
-                phases.tally_s * 1e3, phases.transpose_s * 1e3,
-                phases.combine_s * 1e3, phases.gather_s * 1e3);
+    const auto rows = trace::phase_breakdown(*machine.tracer(), splitc::host());
+    std::printf("phases:");
+    for (const char* step : hist::kHistStepSpans) {
+      double ms = 0.0;
+      for (const auto& row : rows) {
+        if (row.name == step) ms = row.wall_s * row.effective_rate * 1e3;
+      }
+      std::printf(" %s %.3fms", std::strchr(step, '/') + 1, ms);
+    }
+    std::printf("\n");
   }
   return 0;
 }
