@@ -28,8 +28,6 @@ namespace histcc::bench {
 // slews: the harness timers and the tracer must share one steady clock.
 static_assert(util::Timer::clock::is_steady,
               "bench timings require a steady clock");
-static_assert(util::PhaseTimer::clock::is_steady,
-              "bench phase timings require a steady clock");
 
 /// Mean and best wall-clock seconds over `reps` runs of `fn`.
 struct Timing {

@@ -21,7 +21,9 @@
 /// n^2 = 2^24 pixels, far below 2^32.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "histcc/image/image.hpp"
@@ -37,6 +39,23 @@ namespace histcc::hist {
 /// breakdown and the bench report always list the same steps.
 inline constexpr std::array<const char*, 4> kHistStepSpans = {
     "hist/tally", "hist/transpose", "hist/combine", "hist/gather"};
+
+/// Bins of the byte tally: one per 8-bit pixel value.
+inline constexpr std::size_t kTallyBins = 256;
+
+/// A 256-bin byte tally.
+using Tally = std::array<std::uint32_t, kTallyBins>;
+
+/// The local tally of histogram_seq, step 1 of histogram_parallel and each
+/// thread of omp::histogram_omp.  No branch per pixel: a uint8_t always
+/// has a bin.  Pixel i counts in sub-table i mod 4 and the four are summed
+/// at the end, so a run of one value does not serialize on one counter.
+/// `px` must hold fewer than 2^32 pixels (img::kLabelSpace).
+[[nodiscard]] Tally tally(std::span<const std::uint8_t> px) noexcept;
+
+/// The range check after a tally: requires bins k..255 to be zero, i.e.
+/// every tallied pixel is below k.
+void require_below(const Tally& bins, std::uint32_t k);
 
 /// One-pass sequential histogram; the baseline for efficiency numbers.
 /// k must be a power of two in [2, 256]; every pixel must be < k.

@@ -17,15 +17,36 @@ void require_k(std::uint32_t k) {
 
 }  // namespace
 
+Tally tally(std::span<const std::uint8_t> px) noexcept {
+  std::array<Tally, 4> lanes{};
+  const std::size_t n = px.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++lanes[0][px[i]];
+    ++lanes[1][px[i + 1]];
+    ++lanes[2][px[i + 2]];
+    ++lanes[3][px[i + 3]];
+  }
+  for (; i < n; ++i) ++lanes[0][px[i]];
+  Tally bins{};
+  for (std::size_t v = 0; v < kTallyBins; ++v) {
+    bins[v] = lanes[0][v] + lanes[1][v] + lanes[2][v] + lanes[3][v];
+  }
+  return bins;
+}
+
+void require_below(const Tally& bins, std::uint32_t k) {
+  for (std::size_t v = k; v < kTallyBins; ++v) {
+    HISTCC_REQUIRE(bins[v] == 0, "pixel value exceeds grey-level count");
+  }
+}
+
 std::vector<std::uint32_t> histogram_seq(const img::GreyImage& image,
                                          std::uint32_t k) {
   require_k(k);
-  std::vector<std::uint32_t> counts(k, 0);
-  for (const auto px : image.pixels()) {
-    HISTCC_REQUIRE(px < k, "pixel value exceeds grey-level count");
-    ++counts[px];
-  }
-  return counts;
+  const Tally bins = tally(image.pixels());
+  require_below(bins, k);
+  return std::vector<std::uint32_t>(bins.begin(), bins.begin() + k);
 }
 
 std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
@@ -55,14 +76,11 @@ std::vector<std::uint32_t> histogram_parallel(splitc::Machine& machine,
   machine.run([&](splitc::Proc& self) {
     // Step 1: tally my tile.  O(n^2 / p) local work.
     TRACE_SPAN(self, kHistStepSpans[0]) {
-      auto h = local_h.local(self);
-      auto px = tiles.local(self);
       const std::size_t count = layout.tile_size(self.rank());
-      for (std::size_t idx = 0; idx < count; ++idx) {
-        HISTCC_REQUIRE(px[idx] < k, "pixel value exceeds grey-level count");
-        ++h[px[idx]];
-      }
+      const Tally bins = tally(tiles.local(self).first(count));
+      require_below(bins, k);
       if (count > 0) {
+        std::copy_n(bins.begin(), k, local_h.local(self).begin());
         local_h.note_local_write(self);  // race-ledger epoch annotation
       }
       self.charge_ops(count);

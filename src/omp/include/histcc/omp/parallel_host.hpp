@@ -52,8 +52,10 @@ namespace histcc::omp {
 /// or under ThreadSanitizer — see tsan_active()).
 [[nodiscard]] unsigned backend_threads() noexcept;
 
-/// Histogram with per-thread tallies + parallel reduction.  Same contract
-/// as hist::histogram_seq (k a power of two in [2, 256], pixels < k).
+/// Histogram with per-thread tallies (hist::tally over one contiguous
+/// chunk each) + parallel reduction, range-checked after the parallel
+/// region.  Same contract as hist::histogram_seq (k a power of two in
+/// [2, 256], pixels < k).
 /// `threads` sets the team size explicitly — 0 means backend_threads();
 /// any count (including non-powers-of-two and oversubscription) gives
 /// bit-identical results.  Explicit counts are requests: under TSan the

@@ -4,8 +4,10 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <memory>
 
+#include "histcc/hist/histogram.hpp"
 #include "histcc/omp/epoch_check.hpp"
 #include "histcc/util/math.hpp"
 #include "histcc/util/require.hpp"
@@ -26,21 +28,17 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
   HISTCC_REQUIRE(k >= 2 && k <= 256 && util::is_pow2(k),
                  "grey-level count must be a power of two in [2, 256]");
   const auto px = image.pixels();
-  // Host-side precondition check up front so the parallel loop is clean.
-  for (const auto value : px) {
-    HISTCC_REQUIRE(value < k, "pixel value exceeds grey-level count");
-  }
-
-  std::vector<std::uint32_t> counts(k, 0);
+  hist::Tally counts{};
 #ifdef _OPENMP
   // Explicit counts are requests, not guarantees: under TSan they shrink
   // to 1 like backend_threads() does (see tsan_active()).
   const unsigned nt =
       tsan_active() ? 1 : (threads == 0 ? backend_threads() : threads);
-  // Flat per-thread tallies: thread t owns [t*k, (t+1)*k).  Epoch
+  // Flat per-thread tallies: thread t owns [t*256, (t+1)*256).  Epoch
   // structure is the paper's publication discipline verbatim: tally into
   // your own block, barrier, reduce everyone's blocks.
-  std::vector<std::uint32_t> partial(static_cast<std::size_t>(nt) * k, 0);
+  constexpr std::size_t kBins = hist::kTallyBins;
+  std::vector<std::uint32_t> partial(nt * kBins, 0);
 
   std::unique_ptr<EpochChecker> chk;
   std::shared_ptr<splitc::ArrayShadow> sh_partial;
@@ -54,27 +52,24 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
 #pragma omp parallel num_threads(nt)
   {
     const auto t = static_cast<unsigned>(omp_get_thread_num());
-    auto* mine = partial.data() + static_cast<std::size_t>(t) * k;
-#pragma omp for schedule(static)
-    for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(px.size());
-         ++idx) {
-      ++mine[px[static_cast<std::size_t>(idx)]];
-    }
-    // (implied barrier at the end of the omp for)
+    // Static contiguous chunks, one shared tally kernel per thread.
+    const std::size_t begin = px.size() * t / nt;
+    const std::size_t end = px.size() * (t + 1) / nt;
+    const hist::Tally mine = hist::tally(px.subspan(begin, end - begin));
+    std::copy(mine.begin(), mine.end(), partial.data() + t * kBins);
+#pragma omp barrier
     if (chk) {
-      chk->note_write(*sh_partial, t, static_cast<std::size_t>(t) * k, k);
+      chk->note_write(*sh_partial, t, t * kBins, kBins);
       chk->epoch_barrier(t);
     }
-    // Parallel reduction over grey levels: thread t combines column g of
-    // every tally block for its slice of [0, k).  Manual static ranges so
-    // the slice is explicit for the epoch annotation.
-    const std::uint32_t g_begin = k * t / nt;
-    const std::uint32_t g_end = k * (t + 1) / nt;
-    for (std::uint32_t g = g_begin; g < g_end; ++g) {
+    // Parallel reduction over all 256 bins: thread t combines column g of
+    // every tally block for its slice.  Manual static ranges so the slice
+    // is explicit for the epoch annotation.
+    const std::size_t g_begin = kBins * t / nt;
+    const std::size_t g_end = kBins * (t + 1) / nt;
+    for (std::size_t g = g_begin; g < g_end; ++g) {
       std::uint32_t sum = 0;
-      for (unsigned tt = 0; tt < nt; ++tt) {
-        sum += partial[static_cast<std::size_t>(tt) * k + g];
-      }
+      for (unsigned tt = 0; tt < nt; ++tt) sum += partial[tt * kBins + g];
       counts[g] = sum;
     }
     if (chk) {
@@ -85,9 +80,12 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
   if (chk) chk->throw_if_conflicts();
 #else
   (void)threads;
-  for (const auto value : px) ++counts[value];
+  counts = hist::tally(px);
 #endif
-  return counts;
+  // The range check runs after the parallel region, where throwing is
+  // safe.
+  hist::require_below(counts, k);
+  return std::vector<std::uint32_t>(counts.begin(), counts.begin() + k);
 }
 
 }  // namespace histcc::omp

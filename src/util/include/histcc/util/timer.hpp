@@ -39,24 +39,6 @@ class Timer {
   clock::time_point start_;
 };
 
-/// Accumulates time across start/stop intervals; used to split an
-/// algorithm's run into the paper's Tcomp / Tcomm buckets.
-class PhaseTimer {
- public:
-  using clock = std::chrono::steady_clock;
-
-  void start() noexcept { mark_ = clock::now(); }
-  void stop() noexcept {
-    total_ += std::chrono::duration<double>(clock::now() - mark_).count();
-  }
-  [[nodiscard]] double seconds() const noexcept { return total_; }
-  void reset() noexcept { total_ = 0.0; }
-
- private:
-  clock::time_point mark_{};
-  double total_ = 0.0;
-};
-
 }  // namespace histcc::util
 
 #endif  // HISTCC_UTIL_TIMER_HPP

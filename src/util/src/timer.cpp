@@ -5,6 +5,5 @@
 namespace histcc::util {
 
 static_assert(sizeof(Timer) > 0);
-static_assert(sizeof(PhaseTimer) > 0);
 
 }  // namespace histcc::util

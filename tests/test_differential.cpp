@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "hist_reference.hpp"
 #include "histcc/cc/parallel_cc.hpp"
 #include "histcc/cc/replicated.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
@@ -178,8 +179,10 @@ class DifferentialHist : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DifferentialHist, AllImplementationsAgree) {
   const auto test = hist_cases()[GetParam()];
-  const auto reference = hist::histogram_seq(test.image, test.k);
+  const auto reference = reference_histogram(test.image, test.k);
 
+  EXPECT_EQ(hist::histogram_seq(test.image, test.k), reference)
+      << test.name << "/seq";
   for (const unsigned threads : kOmpThreads) {
     EXPECT_EQ(omp::histogram_omp(test.image, test.k, threads), reference)
         << test.name << "/omp_t" << threads;

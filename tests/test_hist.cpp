@@ -7,6 +7,7 @@
 #include <numeric>
 #include <string>
 
+#include "hist_reference.hpp"
 #include "histcc/hist/equalize.hpp"
 #include "histcc/hist/histogram.hpp"
 #include "histcc/image/generators.hpp"
@@ -47,6 +48,12 @@ TEST(HistogramSeqTest, RejectsOutOfRangePixels) {
   image(1, 1) = 9;
   EXPECT_THROW((void)hh::histogram_seq(image, 8),
                histcc::util::contract_error);
+  // 7 x 513 = 3591 pixels, not a multiple of 4: the bad pixel is the last
+  // one, which the tally counts after its four-lane loop.
+  im::GreyImage ragged(7, 513, 0);
+  ragged(6, 512) = 8;
+  EXPECT_THROW((void)hh::histogram_seq(ragged, 8),
+               histcc::util::contract_error);
 }
 
 // The paper's first correctness criterion: sum of H equals n^2.
@@ -59,7 +66,8 @@ TEST_P(HistParallel, MatchesSequential) {
   const auto [p, k] = GetParam();
   const std::uint32_t n = 64;
   const auto image = im::make_random_grey(n, k, 1234 + p + k);
-  const auto expected = hh::histogram_seq(image, k);
+  const auto expected = reference_histogram(image, k);
+  EXPECT_EQ(hh::histogram_seq(image, k), expected);
 
   sc::Machine machine(p);
   const auto counts = hh::histogram_parallel(machine, image, k);
@@ -147,6 +155,13 @@ TEST(HistParallelTest, OutOfRangePixelFailsCleanly) {
   image(10, 10) = 200;  // >= k below
   sc::Machine machine(4);
   EXPECT_THROW((void)hh::histogram_parallel(machine, image, 16),
+               histcc::util::contract_error);
+  // 7 x 515 = 3605 pixels, not a multiple of 4, with the bad pixel last.
+  // At p = 4 it lands in rank 3's 3 x 257 = 771-pixel tile, past the
+  // tally's four-lane loop.
+  im::GreyImage ragged(7, 515, 0);
+  ragged(6, 514) = 16;
+  EXPECT_THROW((void)hh::histogram_parallel(machine, ragged, 16),
                histcc::util::contract_error);
   // The machine must remain usable after the aborted SPMD program.
   const auto counts =

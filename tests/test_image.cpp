@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "histcc/image/generators.hpp"
 #include "histcc/image/image.hpp"
@@ -160,40 +161,74 @@ TEST_P(RaggedScatterGatherTest, RoundTripsNonSquareShapes) {
   for (const auto& [h, w] : shapes) {
     const im::TileLayout layout(h, w, p);
     im::GreyImage image(h, w);
+    // Labels use all 32 bits, as CC's label gather does.
+    im::LabelImage labels(h, w);
     std::uint32_t seed = 1;
     for (std::uint32_t i = 0; i < h; ++i) {
       for (std::uint32_t j = 0; j < w; ++j) {
         seed = seed * 1664525u + 1013904223u;
         image(i, j) = static_cast<std::uint8_t>(seed >> 24);
+        labels(i, j) = seed;
       }
     }
     sc::Spread<std::uint8_t> tiles(machine, layout.max_tile_size());
     layout.scatter(image, tiles);
     EXPECT_EQ(layout.gather(tiles), image) << h << "x" << w << " p=" << p;
+    sc::Spread<std::uint32_t> label_tiles(machine, layout.max_tile_size());
+    layout.scatter(labels, label_tiles);
+    EXPECT_EQ(layout.gather(label_tiles), labels)
+        << h << "x" << w << " p=" << p << " (labels)";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Procs, RaggedScatterGatherTest,
                          ::testing::Values(1, 4, 16));
 
+// Where each pixel lands, not just that gather undoes scatter: a stride
+// bug shared by both would still round-trip.  Blocks are uniform
+// max_tile_size() arrays, so every rank but 0 may have padding.
 TEST(ScatterTest, TilePixelsRowMajor) {
-  const std::uint32_t n = 8;
-  sc::Machine machine(4);  // 2 x 2 grid, 4 x 4 tiles
-  const im::TileLayout layout(n, 4);
-  im::GreyImage image(n, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      image(i, j) = static_cast<std::uint8_t>(i * n + j);
+  struct Case {
+    std::uint32_t h, w, p, empty_tiles;
+  };
+  // 8 x 8 at p = 4: 2 x 2 grid of 4 x 4 tiles.  7 x 513 at p = 4: ragged
+  // last grid row and column.  1000 x 3 at p = 16: grid column 3 is empty.
+  for (const auto& [h, w, p, want_empty] :
+       {Case{8, 8, 4, 0}, Case{7, 513, 4, 0}, Case{1000, 3, 16, 4}}) {
+    sc::Machine machine(p);
+    const im::TileLayout layout(h, w, p);
+    im::GreyImage image(h, w);
+    for (std::uint32_t i = 0; i < h; ++i) {
+      for (std::uint32_t j = 0; j < w; ++j) {
+        image(i, j) = static_cast<std::uint8_t>(1 + (i * w + j) % 255);
+      }
     }
+    sc::Spread<std::uint8_t> tiles(machine, layout.max_tile_size());
+    layout.scatter(image, tiles);
+    std::uint32_t empty_tiles = 0;
+    for (std::uint32_t rank = 0; rank < p; ++rank) {
+      const auto block = std::as_const(tiles).block(rank);
+      const std::uint32_t r = layout.tile_cols(rank);
+      for (std::uint32_t i = 0; i < layout.tile_rows(rank); ++i) {
+        for (std::uint32_t j = 0; j < r; ++j) {
+          ASSERT_EQ(block[static_cast<std::size_t>(i) * r + j],
+                    image(layout.global_row(rank, i),
+                          layout.global_col(rank, j)))
+              << h << "x" << w << " p=" << p << " rank " << rank << " (" << i
+              << ", " << j << ")";
+        }
+      }
+      // Padding past the tile, and all of an empty tile's block, stay zero.
+      for (std::size_t idx = layout.tile_size(rank); idx < block.size();
+           ++idx) {
+        ASSERT_EQ(block[idx], 0)
+            << h << "x" << w << " p=" << p << " rank " << rank << " slot "
+            << idx;
+      }
+      if (layout.tile_size(rank) == 0) ++empty_tiles;
+    }
+    EXPECT_EQ(empty_tiles, want_empty) << h << "x" << w;
   }
-  sc::Spread<std::uint8_t> tiles(machine, layout.max_tile_size());
-  layout.scatter(image, tiles);
-  // Processor 3 owns rows 4..7, cols 4..7.
-  auto block = tiles.block(3);
-  EXPECT_EQ(block[0], image(4, 4));
-  EXPECT_EQ(block[1], image(4, 5));
-  EXPECT_EQ(block[4], image(5, 4));
-  EXPECT_EQ(block[15], image(7, 7));
 }
 
 class PatternTest : public ::testing::TestWithParam<int> {};

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "hist_reference.hpp"
 #include "histcc/cc/parallel_cc.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
 #include "histcc/cc_seq/hoshen_kopelman.hpp"
@@ -129,7 +130,8 @@ TEST_P(ShapeSweep, HistogramMatchesSequentialReference) {
   const std::uint32_t p = GetParam();
   for (const auto& [h, w] : kShapes) {
     const auto image = make_random_shape(h, w, 16, h + w);
-    const auto reference = hist::histogram_seq(image, 16);
+    const auto reference = reference_histogram(image, 16);
+    EXPECT_EQ(hist::histogram_seq(image, 16), reference) << h << "x" << w;
     sc::Machine machine(p);
     EXPECT_EQ(hist::histogram_parallel(machine, image, 16), reference)
         << h << "x" << w << " p=" << p;

@@ -8,11 +8,12 @@
 #   tools/check.sh                     # run every stage
 #   tools/check.sh plain tsan          # run a subset
 #   tools/check.sh lint-spmd           # just the static SPMD lint
+#   tools/check.sh perfbench           # build + self-test the benchmark
 #   JOBS=8 tools/check.sh              # override parallelism
 #   SPMDLINT_NO_BASELINE=1 tools/check.sh lint-spmd   # report ALL findings
 #
 # Stages: plain, release, asan-ubsan, tsan, race-ledger, trace,
-# bench-diff, lint-spmd, tidy.
+# bench-diff, perfbench, lint-spmd, tidy.
 # Exit status is non-zero iff any requested stage fails; a stage that
 # cannot run here (clang-tidy not installed) is recorded as SKIP, which
 # does not fail the script.  A per-stage PASS/FAIL/SKIP table is printed
@@ -30,8 +31,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(plain release asan-ubsan tsan race-ledger trace bench-diff lint-spmd
-    tidy)
+  STAGES=(plain release asan-ubsan tsan race-ledger trace bench-diff perfbench
+    lint-spmd tidy)
 fi
 
 # Per-stage results, aggregated into the summary table and the exit code.
@@ -115,6 +116,22 @@ run_bench_diff() {
   record bench-diff PASS
 }
 
+# End-to-end benchmark (perfbench/, BENCHMARK.json): builds it from this
+# checkout's library sources into .bench_build/ and runs its self-test, so
+# a library change that breaks the benchmark's build or its output checks
+# fails here instead of at the next benchmark run.
+run_perfbench() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    note "perfbench: python3 not installed; skipping"
+    record perfbench SKIP "python3 not installed"
+    return
+  fi
+  note "perfbench: build + self-test"
+  python3 perfbench/run.py --self-test ||
+    { record perfbench FAIL "self-test"; return; }
+  record perfbench PASS
+}
+
 # Static SPMD discipline lint (tools/spmdlint, docs/spmdlint.md).  Builds
 # the analyzer directly with the host compiler into build-lint/ so the
 # stage works without any CMake configure step, then lints src/ and
@@ -182,6 +199,7 @@ for stage in "${STAGES[@]}"; do
     plain | release | asan-ubsan | tsan | race-ledger) run_preset "${stage}" ;;
     trace) run_trace ;;
     bench-diff) run_bench_diff ;;
+    perfbench) run_perfbench ;;
     lint-spmd) run_lint_spmd ;;
     tidy) run_tidy ;;
     *)
