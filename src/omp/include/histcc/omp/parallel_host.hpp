@@ -14,8 +14,15 @@
 ///
 /// Both produce bit-identical results to the sequential references (the
 /// canonical labeling / exact counts), so the test suite cross-checks
-/// them against every other implementation.  They degrade gracefully to
-/// serial execution when built without OpenMP.
+/// them against every other implementation.  Their per-pixel kernels are
+/// the sequential ones: hist::tally, and cc_seq's union-find first pass
+/// (ccseq::union_rows) over row strips.  Built without OpenMP they run
+/// serially.
+///
+/// Team sizes are requests.  OpenMP may grant a region fewer threads (a
+/// call from inside another parallel region, OMP_DYNAMIC,
+/// OMP_THREAD_LIMIT), so both kernels split their work by the team each
+/// region actually runs with, omp_get_num_threads().
 
 #include <cstdint>
 #include <vector>
@@ -48,35 +55,40 @@ namespace histcc::omp {
   return HISTCC_TSAN_ACTIVE != 0;
 }
 
-/// Number of threads the OpenMP backend will use (1 when built serially
-/// or under ThreadSanitizer — see tsan_active()).
+/// Number of threads the OpenMP backend requests by default (1 when built
+/// serially or under ThreadSanitizer — see tsan_active()).  A request, not
+/// a guarantee: a region may be granted fewer.
 [[nodiscard]] unsigned backend_threads() noexcept;
 
 /// Histogram with per-thread tallies (hist::tally over one contiguous
 /// chunk each) + parallel reduction, range-checked after the parallel
 /// region.  Same contract as hist::histogram_seq (k a power of two in
 /// [2, 256], pixels < k).
-/// `threads` sets the team size explicitly — 0 means backend_threads();
-/// any count (including non-powers-of-two and oversubscription) gives
-/// bit-identical results.  Explicit counts are requests: under TSan the
-/// team shrinks to 1 (see tsan_active()).  When the epoch checker is enabled
+/// `threads` requests the team size — 0 means backend_threads(); any
+/// count (including non-powers-of-two and oversubscription), and any team
+/// OpenMP grants for it, gives bit-identical results.  Under TSan the team
+/// shrinks to 1 (see tsan_active()).  When the epoch checker is enabled
 /// (epoch_check.hpp) the run self-verifies its barrier discipline.
 [[nodiscard]] std::vector<std::uint32_t> histogram_omp(
     const img::GreyImage& image, std::uint32_t k, unsigned threads = 0);
 
-/// Connected components by strip-parallel union-find:
-///   1. the image is cut into horizontal strips, one per thread; each
-///      thread runs the two-pass union-find first pass within its strip
-///      (its unions touch only its own rows, so no synchronization);
-///   2. a short serial pass unions each strip's first row with the row
-///      above it (the strip boundaries);
-///   3. a parallel read-only resolve assigns every pixel its root label.
+/// Connected components by strip-parallel union-find (Gupta et al.,
+/// arXiv:1606.05973), on one ccseq::DisjointSets forest:
+///   1. the image is cut into horizontal strips, one per granted thread;
+///      each thread runs ccseq::union_rows over its strip with the first
+///      row not linking up (its unions touch only its own rows, so no
+///      synchronization);
+///   2. a short serial pass runs ccseq::union_rows over each strip's first
+///      row with upward links (the strip boundaries);
+///   3. a parallel read-only resolve assigns every pixel
+///      DisjointSets::root() + 1.
 /// Union-by-minimum keeps the canonical labeling, so the output equals
-/// ccseq::label_components_* exactly.  `threads` sets the team size
-/// explicitly (0 = backend_threads()); the count is clamped so every
-/// strip spans at least two rows, and shrinks to 1 under TSan (see
-/// tsan_active()).  When the epoch checker is enabled
-/// (epoch_check.hpp) the run self-verifies its barrier discipline.
+/// ccseq::label_components_* exactly.  `threads` requests the team size
+/// (0 = backend_threads()); the request is clamped so every strip spans
+/// at least two rows, and shrinks to 1 under TSan (see tsan_active()).
+/// Built without OpenMP this is ccseq::label_components_unionfind.  When
+/// the epoch checker is enabled (epoch_check.hpp) the run self-verifies
+/// its barrier discipline.
 [[nodiscard]] img::LabelImage connected_components_omp(
     const img::GreyImage& image,
     ccseq::Connectivity conn = ccseq::Connectivity::kEight,

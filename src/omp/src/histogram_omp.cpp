@@ -51,10 +51,13 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
 
 #pragma omp parallel num_threads(nt)
   {
+    // Slice by the team OpenMP granted, which may be smaller than nt (a
+    // nested call, OMP_DYNAMIC, OMP_THREAD_LIMIT).
+    const auto n = static_cast<unsigned>(omp_get_num_threads());
     const auto t = static_cast<unsigned>(omp_get_thread_num());
     // Static contiguous chunks, one shared tally kernel per thread.
-    const std::size_t begin = px.size() * t / nt;
-    const std::size_t end = px.size() * (t + 1) / nt;
+    const std::size_t begin = px.size() * t / n;
+    const std::size_t end = px.size() * (t + 1) / n;
     const hist::Tally mine = hist::tally(px.subspan(begin, end - begin));
     std::copy(mine.begin(), mine.end(), partial.data() + t * kBins);
 #pragma omp barrier
@@ -65,15 +68,15 @@ std::vector<std::uint32_t> histogram_omp(const img::GreyImage& image,
     // Parallel reduction over all 256 bins: thread t combines column g of
     // every tally block for its slice.  Manual static ranges so the slice
     // is explicit for the epoch annotation.
-    const std::size_t g_begin = kBins * t / nt;
-    const std::size_t g_end = kBins * (t + 1) / nt;
+    const std::size_t g_begin = kBins * t / n;
+    const std::size_t g_end = kBins * (t + 1) / n;
     for (std::size_t g = g_begin; g < g_end; ++g) {
       std::uint32_t sum = 0;
-      for (unsigned tt = 0; tt < nt; ++tt) sum += partial[tt * kBins + g];
+      for (unsigned tt = 0; tt < n; ++tt) sum += partial[tt * kBins + g];
       counts[g] = sum;
     }
     if (chk) {
-      chk->note_read(*sh_partial, t, 0, partial.size());
+      chk->note_read(*sh_partial, t, 0, n * kBins);
       chk->note_write(*sh_counts, t, g_begin, g_end - g_begin);
     }
   }

@@ -129,6 +129,9 @@ TEST(DisjointSetsTest, RootIsMinimumMember) {
   EXPECT_EQ(sets.find(0), 0u);
   sets.unite(5, 1);
   EXPECT_EQ(sets.find(9), 1u);
+  for (std::uint32_t x = 0; x < 10; ++x) {
+    EXPECT_EQ(sets.root(x), sets.find(x)) << "x=" << x;
+  }
 }
 
 TEST(AnalysisTest, ComponentSizesSorted) {

@@ -1,6 +1,7 @@
 // Tests for the shared-memory (OpenMP) host backend: exact agreement with
 // the sequential references across workloads, connectivities, and colour
-// rules, strip-boundary edge cases, explicit team sizes, and the
+// rules, strip-boundary edge cases, explicit team sizes, teams OpenMP
+// grants smaller than requested (nested and dynamic), and the
 // barrier-epoch checker (epoch_check.hpp) — including a deliberately racy
 // OpenMP program that must be detected with full diagnostics.
 #include <gtest/gtest.h>
@@ -43,6 +44,40 @@ struct ScopedEpochCheck {
   ~ScopedEpochCheck() { ho::set_epoch_check_enabled(false); }
 };
 
+#ifdef _OPENMP
+/// Runs `kernel` on every thread of a two-thread parallel region, as a
+/// caller that is itself parallel would, and returns each thread's result.
+/// The kernel's own region is then nested, and OpenMP grants it one
+/// thread unless nested parallelism is enabled.
+template <class Kernel>
+auto call_from_parallel_region(const Kernel& kernel) {
+  std::vector<decltype(kernel())> results(2);
+  std::size_t team = 1;
+#pragma omp parallel num_threads(2)
+  {
+    const auto t = static_cast<std::size_t>(omp_get_thread_num());
+    results[t] = kernel();
+    if (t == 0) team = static_cast<std::size_t>(omp_get_num_threads());
+  }
+  results.resize(team);
+  return results;
+}
+
+/// RAII switch for OpenMP's dynamic adjustment of team sizes, under which
+/// the runtime may grant fewer threads than a region requests.
+struct ScopedDynamicTeams {
+  int previous = omp_get_dynamic();
+  ScopedDynamicTeams() { omp_set_dynamic(1); }
+  ~ScopedDynamicTeams() { omp_set_dynamic(previous); }
+};
+
+/// A team request larger than dynamic adjustment grants: libgomp caps a
+/// dynamic team at the processor count.
+unsigned oversubscribed_team() {
+  return 4 * static_cast<unsigned>(omp_get_num_procs());
+}
+#endif  // _OPENMP
+
 }  // namespace
 
 TEST(OmpBackendTest, ReportsThreads) {
@@ -80,6 +115,28 @@ TEST(OmpHistTest, RejectsBadInputs) {
         << "threads=" << threads;
   }
 }
+
+#ifdef _OPENMP
+TEST(OmpHistTest, NestedCallMatchesReference) {
+  if (ho::tsan_active()) {
+    GTEST_SKIP() << "libgomp teams are not TSan-instrumented";
+  }
+  const auto image = im::make_random_grey(256, 256, 21);
+  const auto want = reference_histogram(image, 256);
+  const auto got = call_from_parallel_region(
+      [&] { return ho::histogram_omp(image, 256, 4); });
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    EXPECT_EQ(got[t], want) << "outer thread " << t;
+  }
+}
+
+TEST(OmpHistTest, DynamicTeamMatchesReference) {
+  const ScopedDynamicTeams dynamic;
+  const auto image = im::make_random_grey(256, 256, 22);
+  EXPECT_EQ(ho::histogram_omp(image, 256, oversubscribed_team()),
+            reference_histogram(image, 256));
+}
+#endif  // _OPENMP
 
 class OmpCcSweep : public ::testing::TestWithParam<int> {};
 
@@ -161,6 +218,32 @@ TEST(OmpCcTest, ExplicitTeamSizesMatchSequential) {
         << "threads=" << threads;
   }
 }
+
+#ifdef _OPENMP
+TEST(OmpCcTest, NestedCallMatchesBfs) {
+  if (ho::tsan_active()) {
+    GTEST_SKIP() << "libgomp teams are not TSan-instrumented";
+  }
+  const auto image = im::make_percolation(256, 0.58, 23);
+  const auto want = cs::label_components_bfs(image);
+  const auto got = call_from_parallel_region([&] {
+    return ho::connected_components_omp(image, cs::Connectivity::kEight,
+                                        cs::ColourRule::kBinary, 4);
+  });
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    EXPECT_EQ(got[t], want) << "outer thread " << t;
+  }
+}
+
+TEST(OmpCcTest, DynamicTeamMatchesBfs) {
+  const ScopedDynamicTeams dynamic;
+  const auto image = im::make_percolation(256, 0.58, 24);
+  EXPECT_EQ(ho::connected_components_omp(image, cs::Connectivity::kEight,
+                                         cs::ColourRule::kBinary,
+                                         oversubscribed_team()),
+            cs::label_components_bfs(image));
+}
+#endif  // _OPENMP
 
 // ---------------------------------------------------------------------------
 // Barrier-epoch checking of the OpenMP mirror (epoch_check.hpp).
