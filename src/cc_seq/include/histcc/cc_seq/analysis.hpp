@@ -43,10 +43,6 @@ struct ComponentSize {
                                      const img::LabelImage& labels,
                                      Connectivity conn, ColourRule rule);
 
-/// Rewrite labels to consecutive 1..C in order of first appearance
-/// (row-major); returns C.  Display/statistics helper.
-std::size_t relabel_consecutive(img::LabelImage& labels);
-
 /// Per-component object statistics — the measurements the DARPA Image
 /// Understanding benchmark asks of each recognized piece (the paper cites
 /// connected components as "an important object recognition problem" in

@@ -126,16 +126,4 @@ std::vector<ComponentStats> component_stats(const img::GreyImage& image,
   return stats;
 }
 
-std::size_t relabel_consecutive(img::LabelImage& labels) {
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
-  std::uint32_t next = 1;
-  for (auto& label : labels.pixels()) {
-    if (label == kBackgroundLabel) continue;
-    const auto [it, inserted] = remap.try_emplace(label, next);
-    if (inserted) ++next;
-    label = it->second;
-  }
-  return remap.size();
-}
-
 }  // namespace histcc::ccseq

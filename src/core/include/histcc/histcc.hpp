@@ -2,10 +2,9 @@
 #define HISTCC_HISTCC_HPP
 
 /// \file histcc.hpp
-/// Umbrella header and convenience API for the histcc library — a faithful
-/// reproduction of Bader & JaJa, "Parallel Algorithms for Image
-/// Histogramming and Connected Components with an Experimental Study"
-/// (PPoPP 1995).
+/// Umbrella header for the histcc library — a faithful reproduction of
+/// Bader & JaJa, "Parallel Algorithms for Image Histogramming and
+/// Connected Components with an Experimental Study" (PPoPP 1995).
 ///
 /// Layers (each usable on its own):
 ///   histcc/splitc/*   — SPMD runtime: virtual distributed-memory machine,
@@ -20,10 +19,6 @@
 ///   histcc/omp/*      — shared-memory (OpenMP) host implementations
 ///   histcc/serve/*    — multi-tenant job pipeline: machine pool, bounded
 ///                       queue, async jobs with deadlines (docs/serving.md)
-///
-/// The `histcc::` functions below are the one-call entry points most
-/// applications want: construct a `Machine` with the desired virtual
-/// processor count, then histogram / label host images directly.
 
 #include "histcc/bdm/primitives.hpp"
 #include "histcc/cc/border_graph.hpp"
@@ -66,17 +61,6 @@ namespace histcc {
 
 /// Library version string ("major.minor.patch").
 [[nodiscard]] const char* version() noexcept;
-
-/// Histogram `image` (k grey levels) on a p-processor virtual machine.
-[[nodiscard]] std::vector<std::uint32_t> histogram(const img::GreyImage& image,
-                                                   std::uint32_t k,
-                                                   std::uint32_t nprocs);
-
-/// Label the connected components of `image` on a p-processor virtual
-/// machine with the paper's algorithm.
-[[nodiscard]] img::LabelImage connected_components(
-    const img::GreyImage& image, std::uint32_t nprocs,
-    const cc::CcOptions& options = {});
 
 }  // namespace histcc
 

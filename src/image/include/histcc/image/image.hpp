@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "histcc/util/require.hpp"
@@ -37,6 +38,14 @@ class Image {
       : height_(height),
         width_(width),
         pixels_(checked_size(height, width), fill) {}
+
+  /// Adopt `pixels` (row-major, exactly height * width of them) without
+  /// copying them.
+  Image(std::uint32_t height, std::uint32_t width, std::vector<T> pixels)
+      : height_(height), width_(width), pixels_(std::move(pixels)) {
+    HISTCC_REQUIRE(pixels_.size() == checked_size(height, width),
+                   "pixel count must equal height * width");
+  }
 
   [[nodiscard]] std::uint32_t height() const noexcept { return height_; }
   [[nodiscard]] std::uint32_t width() const noexcept { return width_; }

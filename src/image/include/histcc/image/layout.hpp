@@ -36,11 +36,10 @@
 /// check.  Packed arrays (`Spread(machine, layout.tile_sizes(), ...)`
 /// under SpreadLayout::kPacked) meet it exactly; strided arrays pad every
 /// block to `max_tile_size()` (the PR-5 uniform contract) and each rank
-/// only uses the first tile_size(rank) elements.  `tile_offset(rank)` is
-/// the prefix sum of tile sizes — the rank's position in a packed
-/// whole-image enumeration.  Blocks of empty tiles stay value-initialized
-/// (all zero = background), which is what the algorithms rely on when
-/// they skip work on empty ranks.  See docs/layout.md.
+/// only uses the first tile_size(rank) elements.  Blocks of empty tiles
+/// stay value-initialized (all zero = background), which is what the
+/// algorithms rely on when they skip work on empty ranks.  See
+/// docs/layout.md.
 
 #include <algorithm>
 #include <cstdint>
@@ -132,15 +131,6 @@ class TileLayout {
   /// Pixels of processor `rank`'s tile (0 for empty tiles).
   [[nodiscard]] std::size_t tile_size(std::uint32_t rank) const noexcept {
     return static_cast<std::size_t>(tile_rows(rank)) * tile_cols(rank);
-  }
-
-  /// Prefix sum of tile sizes: the first slot of `rank` in a packed
-  /// enumeration of all tiles.  tile_offset(0) == 0,
-  /// tile_offset(p) == H * W.
-  [[nodiscard]] std::size_t tile_offset(std::uint32_t rank) const noexcept {
-    std::size_t off = 0;
-    for (std::uint32_t r = 0; r < rank; ++r) off += tile_size(r);
-    return off;
   }
 
   /// The per-rank size table [tile_size(0), ..., tile_size(p-1)] — the

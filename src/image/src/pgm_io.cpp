@@ -1,10 +1,13 @@
 #include "histcc/image/pgm_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "histcc/util/require.hpp"
 
@@ -32,6 +35,11 @@ std::uint32_t read_header_value(std::istream& in) {
   HISTCC_REQUIRE(static_cast<bool>(in), "malformed PGM header");
   return value;
 }
+
+/// Pixels read per step.  The buffer grows only as pixels arrive, so a
+/// header that promises more than the stream holds costs at most one
+/// step's allocation beyond the bytes actually read.
+constexpr std::size_t kReadChunk = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -65,22 +73,32 @@ GreyImage read_pgm(std::istream& in) {
                  "PGM dimensions exceed the supported 65536 x 65536");
   HISTCC_REQUIRE(maxval > 0 && maxval <= 255, "only 8-bit PGM is supported");
 
-  GreyImage image(height, width);
-  if (binary) {
-    in.get();  // single whitespace after maxval
-    in.read(reinterpret_cast<char*>(image.pixels().data()),
-            static_cast<std::streamsize>(image.size()));
-    HISTCC_REQUIRE(static_cast<bool>(in), "truncated PGM pixel data");
-  } else {
-    for (auto& px : image.pixels()) {
-      std::uint32_t value = 0;
-      in >> value;
-      HISTCC_REQUIRE(static_cast<bool>(in) && value <= maxval,
-                     "malformed P2 pixel data");
-      px = static_cast<std::uint8_t>(value);
+  const std::size_t total = std::size_t{height} * width;
+  std::vector<std::uint8_t> pixels;
+  if (binary) in.get();  // single whitespace after maxval
+  while (pixels.size() < total) {
+    const std::size_t step = std::min(kReadChunk, total - pixels.size());
+    // Grow geometrically but never past `total`, so a complete read ends
+    // with capacity == total and the image adopts the buffer as is.
+    pixels.reserve(
+        std::min(total, std::max(pixels.size() + step, 2 * pixels.capacity())));
+    if (binary) {
+      const std::size_t done = pixels.size();
+      pixels.resize(done + step);
+      in.read(reinterpret_cast<char*>(pixels.data() + done),
+              static_cast<std::streamsize>(step));
+      HISTCC_REQUIRE(static_cast<bool>(in), "truncated PGM pixel data");
+    } else {
+      for (std::size_t i = 0; i < step; ++i) {
+        std::uint32_t value = 0;
+        in >> value;
+        HISTCC_REQUIRE(static_cast<bool>(in) && value <= maxval,
+                       "malformed P2 pixel data");
+        pixels.push_back(static_cast<std::uint8_t>(value));
+      }
     }
   }
-  return image;
+  return GreyImage(height, width, std::move(pixels));
 }
 
 GreyImage read_pgm_file(const std::string& path) {

@@ -70,16 +70,6 @@ class JobQueue {
     return item;
   }
 
-  /// Non-blocking pop; nullopt when nothing is queued.
-  std::optional<T> try_pop() {
-    std::scoped_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
   /// Refuse all future pushes and wake every waiter.  Idempotent.
   void close() {
     std::scoped_lock lock(mutex_);

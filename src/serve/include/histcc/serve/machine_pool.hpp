@@ -90,13 +90,8 @@ class MachinePool {
   [[nodiscard]] std::uint32_t slots() const noexcept {
     return static_cast<std::uint32_t>(slots_.size());
   }
-  [[nodiscard]] std::uint32_t max_procs() const noexcept { return max_procs_; }
   [[nodiscard]] std::uint32_t machines_per_slot() const noexcept {
     return machines_per_slot_;
-  }
-  /// Allocation mode pooled machines are built with.
-  [[nodiscard]] splitc::SpreadLayout spread_layout() const noexcept {
-    return spread_layout_;
   }
 
   /// Machines constructed so far, first builds and rebuilds alike.  A

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "histcc/cc/parallel_cc.hpp"
-#include "histcc/cc_seq/analysis.hpp"
 #include "histcc/image/image.hpp"
 #include "histcc/serve/job.hpp"
 #include "histcc/serve/job_queue.hpp"
@@ -126,15 +125,6 @@ class Pipeline {
   [[nodiscard]] PendingJob<img::LabelImage> submit_components(
       img::GreyImage image, cc::CcOptions options = {}, JobOptions job = {});
 
-  /// Histogram-equalize `image` over k grey levels.
-  [[nodiscard]] PendingJob<img::GreyImage> submit_equalize(
-      img::GreyImage image, std::uint32_t k, JobOptions job = {});
-
-  /// Label `image` and measure every component (area, bounding box,
-  /// centroid), sorted by label.
-  [[nodiscard]] PendingJob<std::vector<ccseq::ComponentStats>> submit_stats(
-      img::GreyImage image, cc::CcOptions options = {}, JobOptions job = {});
-
   /// Stop accepting jobs and finish (kDrain) or cancel (kAbort) the
   /// queued ones; blocks until the pool workers have exited.  Idempotent;
   /// later submissions resolve kRejected.
@@ -154,8 +144,7 @@ class Pipeline {
   /// Shared submit tail: route, wrap, enqueue (or reject).
   template <typename T, typename ParallelFn, typename SequentialFn>
   PendingJob<T> enqueue(img::GreyImage image, const JobOptions& job,
-                        std::uint32_t procs_cap, ParallelFn parallel,
-                        SequentialFn sequential);
+                        ParallelFn parallel, SequentialFn sequential);
 
   void worker_loop(std::uint32_t worker);
   void finish_cancelled(QueuedJob& job);

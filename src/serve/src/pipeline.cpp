@@ -5,12 +5,8 @@
 #include <chrono>
 #include <utility>
 
-#include "histcc/cc/stats_parallel.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
-#include "histcc/hist/equalize.hpp"
 #include "histcc/hist/histogram.hpp"
-#include "histcc/image/layout.hpp"
-#include "histcc/splitc/spread.hpp"
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/math.hpp"
 
@@ -40,36 +36,6 @@ class MachineTraceGuard {
  private:
   splitc::Machine& machine_;
 };
-
-/// Distributed equalization over a host image: scatter, equalize in
-/// place, gather.  Requires p | k; violations throw and degrade.
-img::GreyImage equalize_parallel_image(splitc::Machine& machine,
-                                       const img::GreyImage& image,
-                                       std::uint32_t k) {
-  const img::TileLayout layout(image.height(), image.width(),
-                               machine.nprocs());
-  splitc::Spread<std::uint8_t> tiles(machine, layout.tile_sizes(),
-                                     "serve_eq_tiles");
-  layout.scatter(image, tiles);
-  hist::equalize_parallel(machine, layout, tiles, k);
-  return layout.gather(tiles);
-}
-
-/// Distributed label + measure: one scatter feeds both the CC algorithm
-/// and the per-component statistics reduction.
-std::vector<ccseq::ComponentStats> stats_parallel_image(
-    splitc::Machine& machine, const img::GreyImage& image,
-    const cc::CcOptions& options) {
-  const img::TileLayout layout(image.height(), image.width(),
-                               machine.nprocs());
-  splitc::Spread<std::uint8_t> tiles(machine, layout.tile_sizes(),
-                                     "serve_stats_tiles");
-  layout.scatter(image, tiles);
-  splitc::Spread<std::uint32_t> labels(machine, layout.tile_sizes(),
-                                       "serve_stats_labels");
-  cc::connected_components_parallel(machine, layout, tiles, labels, options);
-  return cc::component_stats_parallel(machine, layout, tiles, labels);
-}
 
 }  // namespace
 
@@ -134,8 +100,7 @@ Pipeline::~Pipeline() { shutdown(DrainMode::kDrain); }
 
 template <typename T, typename ParallelFn, typename SequentialFn>
 PendingJob<T> Pipeline::enqueue(img::GreyImage image, const JobOptions& job,
-                                std::uint32_t procs_cap, ParallelFn parallel,
-                                SequentialFn sequential) {
+                                ParallelFn parallel, SequentialFn sequential) {
   struct State {
     std::promise<JobResult<T>> promise;
     std::optional<T> value;
@@ -147,15 +112,14 @@ PendingJob<T> Pipeline::enqueue(img::GreyImage image, const JobOptions& job,
 
   // Routing: an explicit force_procs runs the parallel path at exactly
   // that width (shape incompatibilities degrade); otherwise pick p from
-  // the image size, additionally capped by the job kind (procs_cap).
+  // the image size.
   std::uint32_t procs;
   bool parallel_path;
   if (job.force_procs > 0) {
     procs = std::min(std::bit_floor(job.force_procs), options_.max_procs);
     parallel_path = true;
   } else {
-    procs = std::min(choose_procs(image.height(), image.width(), options_),
-                     procs_cap);
+    procs = choose_procs(image.height(), image.width(), options_);
     parallel_path = procs > 1;
   }
 
@@ -208,7 +172,7 @@ PendingJob<T> Pipeline::enqueue(img::GreyImage image, const JobOptions& job,
 PendingJob<std::vector<std::uint32_t>> Pipeline::submit_histogram(
     img::GreyImage image, std::uint32_t k, JobOptions job) {
   return enqueue<std::vector<std::uint32_t>>(
-      std::move(image), job, options_.max_procs,
+      std::move(image), job,
       [k](splitc::Machine& machine, const img::GreyImage& im) {
         return hist::histogram_parallel(machine, im, k);
       },
@@ -219,42 +183,13 @@ PendingJob<img::LabelImage> Pipeline::submit_components(img::GreyImage image,
                                                         cc::CcOptions options,
                                                         JobOptions job) {
   return enqueue<img::LabelImage>(
-      std::move(image), job, options_.max_procs,
+      std::move(image), job,
       [options](splitc::Machine& machine, const img::GreyImage& im) {
         return cc::connected_components_parallel(machine, im, options);
       },
       [options](const img::GreyImage& im) {
         return ccseq::label_components_bfs(im, options.connectivity,
                                            options.rule);
-      });
-}
-
-PendingJob<img::GreyImage> Pipeline::submit_equalize(img::GreyImage image,
-                                                     std::uint32_t k,
-                                                     JobOptions job) {
-  // equalize_parallel needs p | k, so auto-routing additionally caps p at
-  // k (both powers of two).
-  const std::uint32_t cap =
-      std::max(1u, std::min(std::bit_floor(k), options_.max_procs));
-  return enqueue<img::GreyImage>(
-      std::move(image), job, cap,
-      [k](splitc::Machine& machine, const img::GreyImage& im) {
-        return equalize_parallel_image(machine, im, k);
-      },
-      [k](const img::GreyImage& im) { return hist::equalize(im, k); });
-}
-
-PendingJob<std::vector<ccseq::ComponentStats>> Pipeline::submit_stats(
-    img::GreyImage image, cc::CcOptions options, JobOptions job) {
-  return enqueue<std::vector<ccseq::ComponentStats>>(
-      std::move(image), job, options_.max_procs,
-      [options](splitc::Machine& machine, const img::GreyImage& im) {
-        return stats_parallel_image(machine, im, options);
-      },
-      [options](const img::GreyImage& im) {
-        const auto labels = ccseq::label_components_bfs(
-            im, options.connectivity, options.rule);
-        return ccseq::component_stats(im, labels);
       });
 }
 
@@ -270,10 +205,7 @@ void Pipeline::worker_loop(std::uint32_t worker) {
     // The serve category defaults to rate 1 — exact per-job spans — and
     // trace_sample_every never touches it, but an explicit
     // HISTCC_TRACE=...:serve=N is still honored here.
-    if (tracer_ == nullptr || !tracer_->enabled() ||
-        !tracer_->should_record(name)) {
-      return;
-    }
+    if (tracer_ == nullptr || !tracer_->should_record(name)) return;
     trace::Span span;
     span.name = name;
     span.tid = tid;
@@ -285,7 +217,7 @@ void Pipeline::worker_loop(std::uint32_t worker) {
   // PoolMetrics -> trace bridge: sample the two gauges at the points
   // they change so the counter tracks mirror Pipeline::metrics().
   const auto sample_gauges = [&] {
-    if (tracer_ == nullptr || !tracer_->enabled()) return;
+    if (tracer_ == nullptr) return;
     const std::int64_t now = tracer_->now_ns();
     tracer_->record_counter({"serve/queue_depth", tid, now,
                              static_cast<double>(queue_->size())});

@@ -49,7 +49,7 @@ enum class LedgerMode : std::uint8_t;
 /// What Machine::run does when the race ledger recorded conflicts.
 enum class RacePolicy : std::uint8_t {
   kThrow,   ///< rethrow as RaceLedgerViolation after the program finishes
-  kRecord,  ///< only record; inspect via Machine::race_ledger_registry()
+  kRecord,  ///< only record; inspect via Machine::race_ledger()
 };
 
 /// How Spread/SpreadVec size the per-rank blocks of layout-driven arrays
@@ -224,12 +224,6 @@ class Machine {
 #endif
   }
 
-  /// Runtime switch for the race ledger (default: enabled when compiled
-  /// in).  A no-op in builds without HISTCC_RACE_LEDGER.
-  void set_race_ledger_enabled(bool enabled) noexcept {
-    race_ledger_enabled_ = enabled && race_ledger_compiled();
-  }
-
   /// What run() does when conflicts were recorded (default kThrow).
   void set_race_policy(RacePolicy policy) noexcept { race_policy_ = policy; }
 
@@ -248,23 +242,18 @@ class Machine {
     return spread_layout_;
   }
 
-  /// Spread/SpreadVec construction footprint since the last
-  /// reset_alloc_stats(): total payload bytes and number of arrays.
-  /// Deliberately *not* cleared by run()/reset_stats(), so a harness can
-  /// build arrays, run, and then read what the build cost.
+  /// Spread construction footprint since the last reset_alloc_stats():
+  /// total payload bytes.  Deliberately *not* cleared by
+  /// run()/reset_stats(), so a harness can build arrays, run, and then
+  /// read what the build cost.
   void note_spread_alloc(std::uint64_t bytes) noexcept {
     spread_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    spread_allocs_.fetch_add(1, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t spread_bytes_allocated() const noexcept {
     return spread_bytes_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t spread_alloc_count() const noexcept {
-    return spread_allocs_.load(std::memory_order_relaxed);
-  }
   void reset_alloc_stats() noexcept {
     spread_bytes_.store(0, std::memory_order_relaxed);
-    spread_allocs_.store(0, std::memory_order_relaxed);
   }
 
   /// Seeded schedule perturbation: every barrier() crossing first spends a
@@ -297,17 +286,11 @@ class Machine {
     return barrier_.generation() + 1;
   }
 
-  /// The checker, or nullptr when compiled out or disabled at runtime.
-  /// This is the hot-path guard the Spread instrumentation uses.
+  /// The checker, or nullptr when compiled out (the ledger's only off
+  /// state).  Spread constructors attach their shadows here, the Spread
+  /// instrumentation records through it, and tests read its diagnostics
+  /// under RacePolicy::kRecord.
   [[nodiscard]] RaceLedger* race_ledger() const noexcept {
-    return race_ledger_enabled_ ? race_ledger_.get() : nullptr;
-  }
-
-  /// The checker object itself regardless of the runtime switch (nullptr
-  /// only when compiled out).  Spread constructors attach shadows here so
-  /// that toggling the switch mid-lifetime still checks every array;
-  /// tests use it to inspect diagnostics under RacePolicy::kRecord.
-  [[nodiscard]] RaceLedger* race_ledger_registry() const noexcept {
     return race_ledger_.get();
   }
 
@@ -326,12 +309,10 @@ class Machine {
   std::vector<CommStats> stats_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> served_;
   std::unique_ptr<RaceLedger> race_ledger_;
-  bool race_ledger_enabled_ = false;
   RacePolicy race_policy_ = RacePolicy::kThrow;
   SpreadLayout spread_layout_ = SpreadLayout::kPacked;
   trace::Tracer* tracer_ = nullptr;
   std::atomic<std::uint64_t> spread_bytes_{0};
-  std::atomic<std::uint64_t> spread_allocs_{0};
   std::uint64_t perturb_seed_ = 0;
   bool running_ = false;
 

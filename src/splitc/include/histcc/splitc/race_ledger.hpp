@@ -28,8 +28,8 @@
 ///     epoch, closing the bypass around the instrumented access paths.
 ///
 /// The ledger sees transfers issued through the Spread API and the
-/// explicit `note_local_write` / `note_local_read` annotations algorithms
-/// place around direct writes to their `local()` span.  A missing
+/// explicit `note_local_write` annotations algorithms place around direct
+/// writes to their `local()` span.  A missing
 /// annotation can hide a race (no record, no conflict) but can never
 /// invent one, so the checker is sound against false positives by
 /// construction.
@@ -45,10 +45,11 @@
 ///
 /// Compiled in only under the `HISTCC_RACE_LEDGER` CMake option (a PUBLIC
 /// compile definition of the splitc target); release builds pay zero
-/// cost.  Within an instrumented build, `Machine::set_race_ledger_enabled`
-/// is the runtime switch.  The RaceLedger class itself is always built —
-/// the OpenMP mirror reuses it for its own epoch checking (see
-/// histcc/omp/epoch_check.hpp) independently of the Spread instrumentation.
+/// cost.  That is the ledger's only off state: an instrumented build
+/// checks every Spread of every machine.  The RaceLedger class itself is
+/// always built — the OpenMP mirror reuses it for its own epoch checking
+/// (see histcc/omp/epoch_check.hpp) independently of the Spread
+/// instrumentation.
 
 #include <array>
 #include <atomic>

@@ -59,6 +59,14 @@ inline void raw_copy(T* dst, const T* src, std::size_t len) noexcept {
   std::memcpy(dst, src, len * sizeof(T));
 }
 
+/// True iff [off, off + len) lies inside a block of `size` elements.  The
+/// overflow-safe form of `off + len <= size`, whose sum can wrap; it also
+/// hands the optimizer a hard bound on the copy length.
+[[nodiscard]] constexpr bool range_in_block(std::size_t off, std::size_t len,
+                                            std::size_t size) noexcept {
+  return off <= size && len <= size - off;
+}
+
 /// Shared race-ledger plumbing of Spread and SpreadVec.  In builds without
 /// HISTCC_RACE_LEDGER every member below compiles to nothing the optimizer
 /// keeps: `shadow_` stays null and `record` is an empty inline function.
@@ -71,9 +79,7 @@ class ShadowBase {
   ShadowBase(Machine& machine, std::string_view name)
       : machine_(&machine), name_(name) {
 #if HISTCC_RACE_LEDGER
-    if (auto* registry = machine.race_ledger_registry()) {
-      shadow_ = registry->attach(name_);
-    }
+    if (auto* ledger = machine.race_ledger()) shadow_ = ledger->attach(name_);
 #endif
   }
 
@@ -153,8 +159,8 @@ class ShadowBase {
 };
 }  // namespace detail
 
-/// Passing this as `len` to note_local_write/note_local_read means "to the
-/// end of the block".
+/// Passing this as `len` to note_local_write means "to the end of the
+/// block".
 inline constexpr std::size_t kWholeBlock =
     std::numeric_limits<std::size_t>::max();
 
@@ -270,11 +276,9 @@ class Spread : public detail::ShadowBase {
                 std::size_t src_off, std::size_t len) {
     HISTCC_REQUIRE(src_rank < nprocs_,
                    "source rank out of range (Spread '" + name_ + "')");
-    // Overflow-safe form of src_off + len <= size (also hands the
-    // optimizer a hard bound on the memcpy length).
-    const std::size_t src_size = blocks_[src_rank].size();
-    HISTCC_REQUIRE(src_off <= src_size && len <= src_size - src_off,
-                   "source range out of bounds (Spread '" + name_ + "')");
+    HISTCC_REQUIRE(
+        detail::range_in_block(src_off, len, blocks_[src_rank].size()),
+        "source range out of bounds (Spread '" + name_ + "')");
     HISTCC_REQUIRE(dst.size() >= len,
                    "destination too small (Spread '" + name_ + "')");
     if (len == 0) return;
@@ -292,10 +296,9 @@ class Spread : public detail::ShadowBase {
                  std::span<const T> src) {
     HISTCC_REQUIRE(dst_rank < nprocs_,
                    "destination rank out of range (Spread '" + name_ + "')");
-    const std::size_t dst_size = blocks_[dst_rank].size();
-    HISTCC_REQUIRE(dst_off <= dst_size && src.size() <= dst_size - dst_off,
-                   "destination range out of bounds (Spread '" + name_ +
-                       "')");
+    HISTCC_REQUIRE(
+        detail::range_in_block(dst_off, src.size(), blocks_[dst_rank].size()),
+        "destination range out of bounds (Spread '" + name_ + "')");
     if (src.empty()) return;
     record(self, dst_rank, dst_off, src.size(), RaceAccess::kWrite);
     detail::raw_copy(blocks_[dst_rank].data() + dst_off, src.data(),
@@ -338,27 +341,10 @@ class Spread : public detail::ShadowBase {
   void note_local_write(Proc& self, std::size_t off = 0,
                         std::size_t len = kWholeBlock) {
     const std::size_t size = blocks_[self.rank()].size();
-    HISTCC_REQUIRE(off <= size,
-                   "annotation offset out of bounds (Spread '" + name_ +
-                       "')");
-    if (len == kWholeBlock) len = size - off;
-    HISTCC_REQUIRE(off + len <= size,
+    if (len == kWholeBlock && off <= size) len = size - off;
+    HISTCC_REQUIRE(detail::range_in_block(off, len, size),
                    "annotation range out of bounds (Spread '" + name_ + "')");
     record(self, self.rank(), off, len, RaceAccess::kWrite);
-  }
-
-  /// Same for direct reads of the local block (rarely needed: reading
-  /// one's own data races only with a remote put in the same epoch).
-  void note_local_read(Proc& self, std::size_t off = 0,
-                       std::size_t len = kWholeBlock) {
-    const std::size_t size = blocks_[self.rank()].size();
-    HISTCC_REQUIRE(off <= size,
-                   "annotation offset out of bounds (Spread '" + name_ +
-                       "')");
-    if (len == kWholeBlock) len = size - off;
-    HISTCC_REQUIRE(off + len <= size,
-                   "annotation range out of bounds (Spread '" + name_ + "')");
-    record(self, self.rank(), off, len, RaceAccess::kRead);
   }
 
  private:
@@ -376,11 +362,7 @@ class SpreadVec : public detail::ShadowBase {
 
  public:
   explicit SpreadVec(Machine& machine, std::string_view name = "SpreadVec")
-      : detail::ShadowBase(machine, name), blocks_(machine.nprocs()) {
-    // Starts empty; counted so the alloc counter sees every distributed
-    // array, not just the fixed-size ones.
-    machine.note_spread_alloc(0);
-  }
+      : detail::ShadowBase(machine, name), blocks_(machine.nprocs()) {}
 
   [[nodiscard]] std::uint32_t nprocs() const noexcept {
     return static_cast<std::uint32_t>(blocks_.size());
@@ -431,8 +413,9 @@ class SpreadVec : public detail::ShadowBase {
   void prefetch(Proc& self, std::span<T> dst, std::uint32_t src_rank,
                 std::size_t src_off, std::size_t len) {
     HISTCC_REQUIRE(src_rank < nprocs(), "source rank out of range");
-    HISTCC_REQUIRE(src_off + len <= blocks_[src_rank].size(),
-                   "source range out of bounds");
+    HISTCC_REQUIRE(
+        detail::range_in_block(src_off, len, blocks_[src_rank].size()),
+        "source range out of bounds");
     HISTCC_REQUIRE(dst.size() >= len, "destination too small");
     if (len == 0) return;
     record(self, src_rank, src_off, len, RaceAccess::kRead);
@@ -449,9 +432,9 @@ class SpreadVec : public detail::ShadowBase {
   void note_local_write(Proc& self, std::size_t off = 0,
                         std::size_t len = kWholeBlock) {
     const std::size_t size = blocks_[self.rank()].size();
-    HISTCC_REQUIRE(off <= size, "annotation offset out of bounds");
-    if (len == kWholeBlock) len = size - off;
-    HISTCC_REQUIRE(off + len <= size, "annotation range out of bounds");
+    if (len == kWholeBlock && off <= size) len = size - off;
+    HISTCC_REQUIRE(detail::range_in_block(off, len, size),
+                   "annotation range out of bounds");
     // A resize republishes the size alongside the payload, so the size
     // cell is marked written even when the payload range is empty.
     record_size(self, self.rank(), RaceAccess::kWrite);

@@ -62,7 +62,6 @@ Machine::Machine(std::uint32_t nprocs)
   grid_ = util::grid_shape(nprocs);
 #if HISTCC_RACE_LEDGER
   race_ledger_ = std::make_unique<RaceLedger>(nprocs);
-  race_ledger_enabled_ = true;
 #endif
   // CI and test harnesses force a mode for the whole process without
   // touching call sites; anything other than the two known values keeps
@@ -198,7 +197,7 @@ void Machine::run(const std::function<void(Proc&)>& program) {
   if (error) std::rethrow_exception(error);
   // Throws RaceLedgerViolation if the program's accesses violated the
   // barrier-epoch publication discipline.
-  if (race_ledger_enabled_ && race_policy_ == RacePolicy::kThrow &&
+  if (race_ledger_ && race_policy_ == RacePolicy::kThrow &&
       race_ledger_->conflict_count() > 0) {
     throw RaceLedgerViolation(race_ledger_->format_report());
   }

@@ -16,10 +16,10 @@
 ///    the span was open, so bytes/messages per BDM primitive fall out of
 ///    the same ledger the cost model reads.
 ///  - `Scope` is the RAII recorder; the `TRACE_SCOPE(owner, "name")`
-///    macro plants one in a block.  When no tracer is attached (the
-///    default) the constructor is a pointer load and a branch; when a
-///    tracer is attached but disabled it is additionally one relaxed
-///    atomic load.  Kernels therefore stay instrumented in every build.
+///    macro plants one in a block.  Tracing is off exactly when no tracer
+///    is attached (the default), and then the constructor is a pointer
+///    load and a branch.  Kernels therefore stay instrumented in every
+///    build.
 ///  - Exporters (export.hpp) turn a tracer's buffers into a
 ///    Chrome/Perfetto `trace.json` or a plain-text per-phase breakdown.
 ///
@@ -216,15 +216,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Master switch, read with a relaxed load on every instrumentation
-  /// site.  A disabled tracer records nothing but stays attached.
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
   /// Install a sampling policy (all categories exact by default).  Safe
   /// to call while spans are being recorded (the per-category rates are
   /// relaxed atomics), but for a deterministic sampled inventory set the
@@ -273,8 +264,8 @@ class Tracer {
 
   /// Append one record to the calling thread's buffer.  Lock-free after
   /// the thread's first record (registration takes the registry mutex
-  /// once).  Ignores the enabled() switch — callers check it first so
-  /// the disabled path pays nothing.
+  /// once).  Ignores the sampling gate — span callers consult
+  /// should_record() first.
   void record_span(const Span& span);
   void record_counter(const CounterSample& sample);
 
@@ -323,7 +314,6 @@ class Tracer {
   [[nodiscard]] bool admit_sampled(Category cat, std::uint32_t every);
 
   Clock::time_point origin_;
-  std::atomic<bool> enabled_{true};
   std::array<std::atomic<std::uint32_t>, kNumCategories> sampling_{
       1u, 1u, 1u, 1u, 1u, 1u};
   const std::uint64_t id_;  ///< process-unique, guards stale TLS caches
@@ -393,8 +383,7 @@ class Scope {
   }
 
   Scope(Tracer* tracer, const char* name, std::uint64_t arg = 0) noexcept {
-    if (tracer == nullptr || !tracer->enabled() ||
-        !tracer->should_record(name)) {
+    if (tracer == nullptr || !tracer->should_record(name)) {
       return;  // skipped spans never read the clock or CommStats
     }
     tracer_ = tracer;
@@ -461,7 +450,7 @@ namespace detail {
 template <typename Owner>
 inline void counter(Owner&& owner, const char* name, double value) noexcept {
   Tracer* tracer = tracer_of(owner);
-  if (tracer == nullptr || !tracer->enabled()) return;
+  if (tracer == nullptr) return;
   tracer->record_counter(
       CounterSample{name, tid_of(owner), tracer->now_ns(), value});
 }

@@ -36,12 +36,6 @@ template <std::unsigned_integral T>
   return (a + b - 1) / b;
 }
 
-/// Round x up to the next power of two (x > 0).
-template <std::unsigned_integral T>
-[[nodiscard]] constexpr T next_pow2(T x) noexcept {
-  return std::bit_ceil(x);
-}
-
 /// The paper's logical processor grid (Section 3): for p = 2^d processors,
 /// v = 2^floor(d/2) rows and w = 2^ceil(d/2) columns, so v*w = p and w >= v.
 struct GridShape {

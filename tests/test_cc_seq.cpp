@@ -176,16 +176,6 @@ TEST(AnalysisTest, IsValidLabelingAcceptsAndRejects) {
                                      cs::ColourRule::kBinary));
 }
 
-TEST(AnalysisTest, RelabelConsecutive) {
-  const auto image = from_rows({{1, 0, 1, 0, 1}});
-  auto labels = cs::label_components_bfs(image);
-  const auto count = cs::relabel_consecutive(labels);
-  EXPECT_EQ(count, 3u);
-  EXPECT_EQ(labels(0, 0), 1u);
-  EXPECT_EQ(labels(0, 2), 2u);
-  EXPECT_EQ(labels(0, 4), 3u);
-}
-
 // Known component counts for the catalog patterns at n = 64 are locked in
 // as regression anchors (stripe width 4 at n = 64).
 TEST(CatalogComponents, HorizontalBarsCount) {

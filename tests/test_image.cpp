@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "histcc/image/generators.hpp"
 #include "histcc/image/image.hpp"
@@ -25,6 +27,11 @@ TEST(ImageTest, ConstructionAndAccess) {
   EXPECT_EQ(image.at(2, 1), 42);
   EXPECT_THROW((void)image.at(4, 0), histcc::util::contract_error);
   EXPECT_THROW((void)image.at(0, 6), histcc::util::contract_error);
+  // Adopting a pixel vector requires exactly height * width pixels.
+  EXPECT_EQ(im::GreyImage(2, 3, std::vector<std::uint8_t>(6, 9)),
+            im::GreyImage(2, 3, 9));
+  EXPECT_THROW(im::GreyImage(2, 3, std::vector<std::uint8_t>(5)),
+               histcc::util::contract_error);
 }
 
 TEST(ImageTest, Equality) {
@@ -332,11 +339,31 @@ TEST(BandedGreyTest, ExactAreaPerLevel) {
   for (const auto c : counts) EXPECT_EQ(c, n * n / k);
 }
 
+namespace {
+
+/// A non-square image of more pixels than read_pgm reads per step (1 MiB),
+/// so reading it crosses a step boundary mid-row.
+im::GreyImage two_step_image() {
+  im::GreyImage image(1031, 1153);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image.pixels()[i] = static_cast<std::uint8_t>(i * 7 % 251);
+  }
+  return image;
+}
+
+}  // namespace
+
 TEST(PgmIoTest, BinaryRoundTrip) {
-  const auto image = im::make_darpa_like(64, 7);
-  std::stringstream stream;
-  im::write_pgm(stream, image);
-  EXPECT_EQ(im::read_pgm(stream), image);
+  for (const auto& image : {im::make_darpa_like(64, 7), two_step_image()}) {
+    std::stringstream stream;
+    im::write_pgm(stream, image);
+    const std::string bytes = stream.str();
+    std::stringstream whole(bytes);
+    EXPECT_EQ(im::read_pgm(whole), image);
+    std::stringstream short_by_one(bytes.substr(0, bytes.size() - 1));
+    EXPECT_THROW((void)im::read_pgm(short_by_one),
+                 histcc::util::contract_error);
+  }
 }
 
 TEST(PgmIoTest, ReadsAsciiP2) {
@@ -348,6 +375,13 @@ TEST(PgmIoTest, ReadsAsciiP2) {
   EXPECT_EQ(image(0, 1), 7);
   EXPECT_EQ(image(1, 0), 128);
   EXPECT_EQ(image(1, 1), 255);
+
+  const auto large = two_step_image();
+  std::ostringstream text;
+  text << "P2\n" << large.width() << ' ' << large.height() << "\n255\n";
+  for (const auto px : large.pixels()) text << int{px} << ' ';
+  std::stringstream large_stream(text.str());
+  EXPECT_EQ(im::read_pgm(large_stream), large);
 }
 
 TEST(PgmIoTest, RejectsMalformedInput) {

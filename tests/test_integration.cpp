@@ -1,4 +1,4 @@
-// Cross-module integration tests: the public facade, full pipelines over
+// Cross-module integration tests: the version string, full pipelines over
 // the DARPA-like benchmark scene, machine reuse across algorithms, and the
 // paper's end-to-end workflows (histogram -> equalize; label -> analyse).
 #include <gtest/gtest.h>
@@ -11,18 +11,6 @@ using namespace histcc;
 
 TEST(FacadeTest, VersionString) {
   EXPECT_STREQ(version(), "1.0.0");
-}
-
-TEST(FacadeTest, OneCallHistogram) {
-  const auto image = img::make_random_grey(64, 32, 7);
-  const auto counts = histogram(image, 32, 8);
-  EXPECT_EQ(counts, hist::histogram_seq(image, 32));
-}
-
-TEST(FacadeTest, OneCallConnectedComponents) {
-  const auto image = img::make_test_pattern(img::TestPattern::kCircles, 64);
-  const auto labels = connected_components(image, 8);
-  EXPECT_EQ(labels, ccseq::label_components_bfs(image));
 }
 
 TEST(IntegrationTest, DarpaScenePipeline) {
@@ -77,7 +65,8 @@ TEST(IntegrationTest, PercolationClusterAnalysis) {
   // the 2-D site-percolation threshold with 8-connectivity, a giant
   // cluster dominates.
   const auto lattice = img::make_percolation(128, 0.7, 555);
-  const auto labels = connected_components(lattice, 16);
+  splitc::Machine machine(16);
+  const auto labels = cc::connected_components_parallel(machine, lattice);
   const auto sizes = ccseq::component_sizes(labels);
   ASSERT_FALSE(sizes.empty());
   std::uint64_t total = 0;

@@ -71,10 +71,8 @@ std::string mode_name(const ::testing::TestParamInfo<sc::LedgerMode>& info) {
 TEST(RaceLedger, CompileFlagIsReportedConsistently) {
   sc::Machine machine(2);
   if (sc::Machine::race_ledger_compiled()) {
-    EXPECT_NE(machine.race_ledger_registry(), nullptr);
     EXPECT_NE(machine.race_ledger(), nullptr);
   } else {
-    EXPECT_EQ(machine.race_ledger_registry(), nullptr);
     EXPECT_EQ(machine.race_ledger(), nullptr);
   }
 }
@@ -123,7 +121,7 @@ TEST_P(RaceLedgerModes, WriteWriteConflictIsDetectedWithFullDiagnostic) {
     self.barrier();
   });
 
-  auto* ledger = machine.race_ledger_registry();
+  auto* ledger = machine.race_ledger();
   ASSERT_NE(ledger, nullptr);
   ASSERT_GE(ledger->conflict_count(), 1u);
   const auto diags = ledger->diagnostics();
@@ -169,7 +167,7 @@ TEST_P(RaceLedgerModes, ReadOfUnpublishedWriteIsDetected) {
     self.barrier();
   });
 
-  auto* ledger = machine.race_ledger_registry();
+  auto* ledger = machine.race_ledger();
   ASSERT_NE(ledger, nullptr);
   ASSERT_GE(ledger->conflict_count(), 1u);
   const auto diags = ledger->diagnostics();
@@ -223,7 +221,7 @@ TEST_P(RaceLedgerModes, SizeProbeDesyncIsDetected) {
     self.barrier();
   });
 
-  auto* ledger = machine.race_ledger_registry();
+  auto* ledger = machine.race_ledger();
   ASSERT_NE(ledger, nullptr);
   ASSERT_EQ(ledger->conflict_count(), 1u);
   const auto diags = ledger->diagnostics();
@@ -256,7 +254,7 @@ TEST_P(RaceLedgerModes, SizePublishedAcrossBarrierIsClean) {
     self.sync();
     self.barrier();
   });
-  EXPECT_EQ(machine.race_ledger_registry()->conflict_count(), 0u);
+  EXPECT_EQ(machine.race_ledger()->conflict_count(), 0u);
 }
 
 // Host-side block() taken while the SPMD program runs bypasses the Proc
@@ -283,7 +281,7 @@ TEST_P(RaceLedgerModes, HostBlockProbeDuringRunIsDetected) {
     self.barrier();
   });
 
-  auto* ledger = machine.race_ledger_registry();
+  auto* ledger = machine.race_ledger();
   ASSERT_NE(ledger, nullptr);
   ASSERT_GE(ledger->conflict_count(), 1u);
   const auto diags = ledger->diagnostics();
@@ -309,7 +307,7 @@ TEST_P(RaceLedgerModes, HostBlockProbeOutsideRunIsFree) {
     self.barrier();
   });
   EXPECT_EQ(data.block(0)[0], 1u);  // after the run: equally free
-  EXPECT_EQ(machine.race_ledger_registry()->conflict_count(), 0u);
+  EXPECT_EQ(machine.race_ledger()->conflict_count(), 0u);
 }
 
 // Overlapping multi-element races: both stores must agree element by
@@ -340,7 +338,7 @@ TEST(RaceLedger, ShardedAndMutexAgreeOnOverlappingRaces) {
       }
       self.barrier();
     });
-    return diag_keys(machine.race_ledger_registry()->diagnostics());
+    return diag_keys(machine.race_ledger()->diagnostics());
   };
 
   const auto sharded = run_racy(sc::LedgerMode::kSharded);
@@ -368,7 +366,7 @@ TEST(RaceLedger, CheckMeteringIsExactInBothModes) {
       self.sync();
       self.barrier();
     });
-    EXPECT_EQ(machine.race_ledger_registry()->check_count(), 2u * (4u + 1u));
+    EXPECT_EQ(machine.race_ledger()->check_count(), 2u * (4u + 1u));
     EXPECT_EQ(machine.stats(0).ledger_checks, 5u);
     EXPECT_EQ(machine.stats(1).ledger_checks, 5u);
   }
@@ -397,7 +395,7 @@ TEST(RaceLedger, BarrierSeparatedAccessesAreClean) {
     self.sync();
     self.barrier();
   });
-  auto* ledger = machine.race_ledger_registry();
+  auto* ledger = machine.race_ledger();
   ASSERT_NE(ledger, nullptr);
   EXPECT_EQ(ledger->conflict_count(), 0u);
   EXPECT_GT(ledger->check_count(), 0u);
@@ -421,7 +419,7 @@ TEST(RaceLedger, LedgerStateResetsBetweenRuns) {
     }
     self.barrier();
   });
-  ASSERT_GE(machine.race_ledger_registry()->conflict_count(), 1u);
+  ASSERT_GE(machine.race_ledger()->conflict_count(), 1u);
 
   // A clean follow-up program must start from a blank ledger: neither the
   // old diagnostics nor the old shadow cells may leak into this run.
@@ -430,28 +428,7 @@ TEST(RaceLedger, LedgerStateResetsBetweenRuns) {
     data.note_local_write(self, 0, 1);
     self.barrier();
   });
-  EXPECT_EQ(machine.race_ledger_registry()->conflict_count(), 0u);
-}
-
-TEST(RaceLedger, RuntimeDisableSwitchesCheckingOff) {
-  if (!sc::Machine::race_ledger_compiled()) {
-    GTEST_SKIP() << "built without HISTCC_RACE_LEDGER";
-  }
-  sc::Machine machine(2);
-  machine.set_race_ledger_enabled(false);
-  sc::Spread<std::uint32_t> data(machine, 2, "disabled");
-  std::atomic<int> turn{0};
-  machine.run([&](sc::Proc& self) {
-    if (self.rank() == 0) {
-      data.put(self, 1, 0, 1u);
-      turn.store(1, std::memory_order_release);
-    } else {
-      await(turn, 1);
-      data.put(self, 1, 0, 2u);
-    }
-    self.barrier();
-  });
-  EXPECT_EQ(machine.race_ledger_registry()->conflict_count(), 0u);
+  EXPECT_EQ(machine.race_ledger()->conflict_count(), 0u);
 }
 
 // The acceptance gate: the paper's algorithms, which follow the
@@ -469,8 +446,8 @@ TEST_P(RaceLedgerCleanAlgorithms, ParallelCcRunsClean) {
     (void)cc::connected_components_parallel(machine, image, cc::CcOptions{});
   });
   if (sc::Machine::race_ledger_compiled()) {
-    EXPECT_EQ(machine.race_ledger_registry()->conflict_count(), 0u);
-    EXPECT_GT(machine.race_ledger_registry()->check_count(), 0u);
+    EXPECT_EQ(machine.race_ledger()->conflict_count(), 0u);
+    EXPECT_GT(machine.race_ledger()->check_count(), 0u);
   }
 }
 
@@ -480,7 +457,7 @@ TEST_P(RaceLedgerCleanAlgorithms, HistogramRunsClean) {
   const auto image = im::make_test_pattern(im::TestPattern::kCircles, 64);
   EXPECT_NO_THROW({ (void)histcc::hist::histogram_parallel(machine, image, 64); });
   if (sc::Machine::race_ledger_compiled()) {
-    EXPECT_EQ(machine.race_ledger_registry()->conflict_count(), 0u);
+    EXPECT_EQ(machine.race_ledger()->conflict_count(), 0u);
   }
 }
 

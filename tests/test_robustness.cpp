@@ -3,6 +3,10 @@
 // sweeps, runtime misuse guards, and spread put_block semantics.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -61,6 +65,43 @@ TEST(SpreadPutBlockTest, BoundsChecked) {
   });
 }
 
+// ---- Spread/SpreadVec range checks must not wrap: off + len can
+// overflow size_t, so both a huge offset and a huge length are probed.
+
+constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+
+TEST(SpreadRangeTest, SpreadVecPrefetchRejectsWrappingRange) {
+  splitc::Machine machine(1);
+  splitc::SpreadVec<std::uint32_t> v(machine);
+  v.block(0).assign(4, 7u);
+  machine.run([&](splitc::Proc& self) {
+    std::vector<std::uint32_t> dst(4);
+    EXPECT_THROW(v.prefetch(self, dst, 0, kMax, 2), util::contract_error);
+    EXPECT_THROW(v.prefetch(self, dst, 0, 2, kMax - 1), util::contract_error);
+  });
+}
+
+TEST(SpreadRangeTest, SpreadNoteLocalWriteRejectsWrappingRange) {
+  splitc::Machine machine(1);
+  splitc::Spread<std::uint32_t> a(machine, 4);
+  machine.run([&](splitc::Proc& self) {
+    EXPECT_THROW(a.note_local_write(self, kMax, 2), util::contract_error);
+    EXPECT_THROW(a.note_local_write(self, 2, kMax - 1), util::contract_error);
+    a.note_local_write(self, 2);  // the rest of the block stays legal
+  });
+}
+
+TEST(SpreadRangeTest, SpreadVecNoteLocalWriteRejectsWrappingRange) {
+  splitc::Machine machine(1);
+  splitc::SpreadVec<std::uint32_t> v(machine);
+  machine.run([&](splitc::Proc& self) {
+    v.local(self).assign(4, 7u);
+    EXPECT_THROW(v.note_local_write(self, kMax, 2), util::contract_error);
+    EXPECT_THROW(v.note_local_write(self, 2, kMax - 1), util::contract_error);
+    v.note_local_write(self, 2);
+  });
+}
+
 TEST(SpreadTest, WideElementsCountMoreWords) {
   struct Wide {
     std::uint64_t a, b;  // 16 bytes = 4 words
@@ -115,6 +156,36 @@ TEST(PgmFuzzTest, HeaderEdgeCases) {
     EXPECT_THROW((void)img::read_pgm(stream), util::contract_error)
         << "input: " << bad;
   }
+}
+
+// A header may promise far more pixels than the stream holds.  The reader
+// must fail on the missing bytes, not on allocating what the header
+// claims: under a 1 GiB address-space cap a 65535 x 65535 header (4 GiB)
+// on a 29-byte stream still ends in contract_error.  Sanitizers reserve
+// terabytes of shadow address space, so the cap cannot apply under them.
+TEST(PgmDeathTest, HugeHeaderOnShortStreamFailsOnMissingBytes) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "an address-space cap breaks ASan/TSan shadow memory";
+#endif
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto read_capped = [] {
+    const rlimit cap{rlim_t{1} << 30, rlim_t{1} << 30};
+    if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(3);
+    for (const char* stream_text : {"P5\n65535 65535\n255\n0123456789",
+                                    "P2\n65535 65535\n255\n1 2 3 4 5 "}) {
+      std::stringstream stream(stream_text);
+      try {
+        (void)img::read_pgm(stream);
+        std::_Exit(1);  // cannot parse: the stream is short
+      } catch (const util::contract_error&) {
+        // the expected failure: missing pixel data
+      } catch (...) {
+        std::_Exit(2);  // e.g. std::bad_alloc from the header's claim
+      }
+    }
+    std::_Exit(0);
+  };
+  EXPECT_EXIT(read_capped(), ::testing::ExitedWithCode(0), "");
 }
 
 // ---- Border graph vs brute force: build the two strips as a 2 x s image,

@@ -105,7 +105,7 @@ TEST(ScheduleStress, AlgorithmsAreScheduleIndependent) {
         << "seed " << seed;
 
     if (sc::Machine::race_ledger_compiled()) {
-      EXPECT_EQ(machine.race_ledger_registry()->conflict_count(), 0u)
+      EXPECT_EQ(machine.race_ledger()->conflict_count(), 0u)
           << "seed " << seed;
     }
   }
@@ -135,7 +135,7 @@ TEST(ScheduleStress, DetectionIsScheduleIndependent) {
       self.barrier();
     });
 
-    auto* ledger = machine.race_ledger_registry();
+    auto* ledger = machine.race_ledger();
     ASSERT_EQ(ledger->conflict_count(), 1u) << "seed " << seed;
     const auto diags = ledger->diagnostics();
     ASSERT_EQ(diags.size(), 1u) << "seed " << seed;

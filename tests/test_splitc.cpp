@@ -396,7 +396,7 @@ TEST(MachineReuseTest, LedgerDiagnosticsClearedBetweenRuns) {
     a.put(self, 0, 0, self.rank());
     self.barrier();
   });
-  auto* ledger = m.race_ledger_registry();
+  auto* ledger = m.race_ledger();
   ASSERT_NE(ledger, nullptr);
   EXPECT_GT(ledger->conflict_count(), 0u);
 

@@ -267,23 +267,6 @@ TEST(TracerTest, HostScopeRecordsOneSpan) {
   EXPECT_EQ(spans[0].end_epoch, 0u);
 }
 
-TEST(TracerTest, DisabledTracerRecordsNothing) {
-  tr::Tracer tracer;
-  tracer.set_enabled(false);
-  {
-    TRACE_SCOPE(&tracer, "test/ignored");
-    TRACE_COUNTER(&tracer, "test/gauge", 1.0);
-  }
-  EXPECT_TRUE(tracer.spans().empty());
-  EXPECT_TRUE(tracer.counters().empty());
-
-  tracer.set_enabled(true);
-  {
-    TRACE_SCOPE(&tracer, "test/seen");
-  }
-  EXPECT_EQ(tracer.spans().size(), 1u);
-}
-
 TEST(TracerTest, NullTracerScopeIsInactive) {
   tr::Scope scope(static_cast<tr::Tracer*>(nullptr), "test/null");
   EXPECT_FALSE(scope.active());
@@ -646,22 +629,6 @@ TEST(ServeTraceTest, DegradedJobEmitsDegradeSpan) {
   ASSERT_EQ(degrade.size(), 1u);
   EXPECT_EQ(degrade[0].tid, tr::serve_tid(0));
   ASSERT_EQ(spans_named(tracer, "serve/run").size(), 1u);
-}
-
-TEST(ServeTraceTest, UntracedPipelineRecordsNothing) {
-  tr::Tracer tracer;
-  tracer.set_enabled(false);
-  sv::PipelineOptions options;
-  options.pool_size = 1;
-  options.trace = &tracer;  // attached but disabled
-  {
-    sv::Pipeline pipeline(options);
-    auto pending = pipeline.submit_histogram(im::make_darpa_like(128), 256);
-    ASSERT_EQ(pending.result.get().status, sv::JobStatus::kOk);
-    pipeline.shutdown();
-  }
-  EXPECT_TRUE(tracer.spans().empty());
-  EXPECT_TRUE(tracer.counters().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -36,13 +36,6 @@ TEST(MathTest, CeilDiv) {
   EXPECT_EQ(hu::ceil_div(0u, 5u), 0u);
 }
 
-TEST(MathTest, NextPow2) {
-  EXPECT_EQ(hu::next_pow2(1u), 1u);
-  EXPECT_EQ(hu::next_pow2(3u), 4u);
-  EXPECT_EQ(hu::next_pow2(64u), 64u);
-  EXPECT_EQ(hu::next_pow2(65u), 128u);
-}
-
 // The paper's logical grid: v = 2^floor(d/2) rows, w = 2^ceil(d/2) columns.
 TEST(MathTest, GridShapeMatchesPaper) {
   struct Case {
