@@ -37,8 +37,8 @@ std::uint32_t read_header_value(std::istream& in) {
 }
 
 /// Pixels read per step.  The buffer grows only as pixels arrive, so a
-/// header that promises more than the stream holds costs at most one
-/// step's allocation beyond the bytes actually read.
+/// header that promises more than the stream holds costs a buffer of at
+/// most about twice the pixels actually read (or one step, at the start).
 constexpr std::size_t kReadChunk = std::size_t{1} << 20;
 
 }  // namespace
@@ -78,10 +78,13 @@ GreyImage read_pgm(std::istream& in) {
   if (binary) in.get();  // single whitespace after maxval
   while (pixels.size() < total) {
     const std::size_t step = std::min(kReadChunk, total - pixels.size());
-    // Grow geometrically but never past `total`, so a complete read ends
-    // with capacity == total and the image adopts the buffer as is.
-    pixels.reserve(
-        std::min(total, std::max(pixels.size() + step, 2 * pixels.capacity())));
+    // Grow geometrically, only when the step does not fit, and never past
+    // `total`: a complete read ends with capacity == total and the image
+    // adopts the buffer as is.
+    if (pixels.capacity() - pixels.size() < step) {
+      pixels.reserve(std::min(
+          total, std::max(pixels.size() + step, 2 * pixels.capacity())));
+    }
     if (binary) {
       const std::size_t done = pixels.size();
       pixels.resize(done + step);

@@ -67,7 +67,10 @@ inline void raw_copy(T* dst, const T* src, std::size_t len) noexcept {
   return off <= size && len <= size - off;
 }
 
-/// Shared race-ledger plumbing of Spread and SpreadVec.  In builds without
+/// Shared race-ledger plumbing of Spread and SpreadVec.  In race-ledger
+/// builds the constructor attaches `shadow_` to the machine's ledger, which
+/// lives as long as the machine, so a non-null `shadow_` is the only check
+/// (it is null only in a moved-from array).  In builds without
 /// HISTCC_RACE_LEDGER every member below compiles to nothing the optimizer
 /// keeps: `shadow_` stays null and `record` is an empty inline function.
 class ShadowBase {
@@ -79,7 +82,7 @@ class ShadowBase {
   ShadowBase(Machine& machine, std::string_view name)
       : machine_(&machine), name_(name) {
 #if HISTCC_RACE_LEDGER
-    if (auto* ledger = machine.race_ledger()) shadow_ = ledger->attach(name_);
+    shadow_ = machine.race_ledger()->attach(name_);
 #endif
   }
 
@@ -88,10 +91,10 @@ class ShadowBase {
   void record(Proc& self, std::uint32_t owner, std::size_t off,
               std::size_t len, RaceAccess kind) {
 #if HISTCC_RACE_LEDGER
-    if (auto* ledger = machine_->race_ledger(); ledger && shadow_) {
+    if (shadow_) {
       self.stats().ledger_checks += len;
-      ledger->record(*shadow_, owner, off, len, self.rank(), self.epoch(),
-                     kind);
+      machine_->race_ledger()->record(*shadow_, owner, off, len, self.rank(),
+                                      self.epoch(), kind);
     }
 #else
     (void)self;
@@ -108,9 +111,10 @@ class ShadowBase {
   /// the resize races even if it never touches the payload.
   void record_size(Proc& self, std::uint32_t owner, RaceAccess kind) {
 #if HISTCC_RACE_LEDGER
-    if (auto* ledger = machine_->race_ledger(); ledger && shadow_) {
+    if (shadow_) {
       self.stats().ledger_checks += 1;
-      ledger->record_size(*shadow_, owner, self.rank(), self.epoch(), kind);
+      machine_->race_ledger()->record_size(*shadow_, owner, self.rank(),
+                                           self.epoch(), kind);
     }
 #else
     (void)self;
@@ -127,9 +131,9 @@ class ShadowBase {
                    RaceAccess kind) {
 #if HISTCC_RACE_LEDGER
     if (!machine_->running()) return;
-    if (auto* ledger = machine_->race_ledger(); ledger && shadow_) {
-      ledger->record(*shadow_, owner, off, len, kHostRank,
-                     machine_->current_epoch(), kind);
+    if (shadow_) {
+      machine_->race_ledger()->record(*shadow_, owner, off, len, kHostRank,
+                                      machine_->current_epoch(), kind);
     }
 #else
     (void)owner;
@@ -143,9 +147,9 @@ class ShadowBase {
   void record_host_size(std::uint32_t owner, RaceAccess kind) {
 #if HISTCC_RACE_LEDGER
     if (!machine_->running()) return;
-    if (auto* ledger = machine_->race_ledger(); ledger && shadow_) {
-      ledger->record_size(*shadow_, owner, kHostRank,
-                          machine_->current_epoch(), kind);
+    if (shadow_) {
+      machine_->race_ledger()->record_size(*shadow_, owner, kHostRank,
+                                           machine_->current_epoch(), kind);
     }
 #else
     (void)owner;

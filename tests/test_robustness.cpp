@@ -9,6 +9,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "histcc/histcc.hpp"
 
@@ -161,19 +163,26 @@ TEST(PgmFuzzTest, HeaderEdgeCases) {
 // A header may promise far more pixels than the stream holds.  The reader
 // must fail on the missing bytes, not on allocating what the header
 // claims: under a 1 GiB address-space cap a 65535 x 65535 header (4 GiB)
-// on a 29-byte stream still ends in contract_error.  Sanitizers reserve
-// terabytes of shadow address space, so the cap cannot apply under them.
+// on a 29-byte stream still ends in contract_error.  So must the same
+// header followed by 16 MiB of pixels: the buffer may grow with the bytes
+// read, but not run ahead of them to the header's 4 GiB.  Sanitizers
+// reserve terabytes of shadow address space, so the cap cannot apply
+// under them.
 TEST(PgmDeathTest, HugeHeaderOnShortStreamFailsOnMissingBytes) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "an address-space cap breaks ASan/TSan shadow memory";
 #endif
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const auto read_capped = [] {
+    const std::string long_p5 =
+        "P5\n65535 65535\n255\n" + std::string(std::size_t{16} << 20, '\x7f');
     const rlimit cap{rlim_t{1} << 30, rlim_t{1} << 30};
     if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(3);
-    for (const char* stream_text : {"P5\n65535 65535\n255\n0123456789",
-                                    "P2\n65535 65535\n255\n1 2 3 4 5 "}) {
-      std::stringstream stream(stream_text);
+    for (const std::string_view stream_text :
+         {std::string_view("P5\n65535 65535\n255\n0123456789"),
+          std::string_view("P2\n65535 65535\n255\n1 2 3 4 5 "),
+          std::string_view(long_p5)}) {
+      std::stringstream stream{std::string(stream_text)};
       try {
         (void)img::read_pgm(stream);
         std::_Exit(1);  // cannot parse: the stream is short
