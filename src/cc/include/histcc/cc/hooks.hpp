@@ -10,16 +10,18 @@
 /// component's initial label plus the offset of one of its border pixels
 /// (Procedure 2, Figure 5).  During the log p merges only border-pixel
 /// labels are kept current (binary search over the change array); after
-/// the final merge each hook whose border pixel now carries a different
-/// label seeds one breadth-first relabeling of the component's stale
-/// interior — the "total consistency update at the final step".
+/// the final merge the "total consistency update" brings the stale
+/// interiors up to date from the hooks.  The paper does that with one
+/// breadth-first relabeling per changed hook.  Here the tile interior
+/// holds component ids (ccseq::tile_components) instead of labels, so the
+/// update writes each hook's merged label into the component table and
+/// relabels the interior in one sweep, label = table[id].
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "histcc/cc/border_graph.hpp"
-#include "histcc/cc_seq/common.hpp"
 
 namespace histcc::cc {
 
@@ -56,15 +58,18 @@ void update_all_labels(std::span<std::uint32_t> labels,
                        std::span<const std::uint8_t> pixels,
                        std::span<const ChangePair> changes);
 
-/// Final total-consistency update: for every hook whose border pixel now
-/// carries a label different from the hook's, BFS from that pixel through
-/// the component (labels equal to either the stale or the new value),
-/// rewriting to the new value.  `visited` is caller-provided scratch of at
-/// least rows*cols bytes, zeroed on entry by this function.
-void relabel_interior(std::span<std::uint32_t> labels, std::uint32_t rows,
-                      std::uint32_t cols, std::span<const TileHook> hooks,
-                      ccseq::Connectivity conn,
-                      std::vector<std::uint8_t>& visited);
+/// Final total-consistency update of a rows x cols tile whose border ring
+/// holds labels and whose interior holds component ids into `table`, as
+/// ccseq::tile_components numbered them.  `hooks` are the tile's hooks
+/// (make_tile_hooks, sorted by initial label) and table[1..] must still
+/// hold the initial labels, ascending.  Each hook writes the current label
+/// of its border pixel into its component's table entry, then one sweep
+/// label = table[id] relabels every interior pixel.  All border pixels of
+/// a tile component carry one label after every merge (a change array
+/// maps labels, not pixels), so the hook's label is the component's.
+void consistency_update(std::span<std::uint32_t> labels, std::uint32_t rows,
+                        std::uint32_t cols, std::span<const TileHook> hooks,
+                        std::span<std::uint32_t> table);
 
 }  // namespace histcc::cc
 

@@ -7,9 +7,12 @@
 /// Structure (binary and grey-level images share all of it; only the
 /// colour rule differs):
 ///   1. *Initialization* (5.1): each processor labels its own q x r tile
-///      with the sequential BFS labeler, using the globally unique initial
-///      labels (I*q + i)*n + (J*r + j) + 1, and creates its tile hooks
-///      (Procedure 2).
+///      with the globally unique initial labels (I*q + i)*n + (J*r + j) + 1
+///      and creates its tile hooks (Procedure 2).  The paper labels with
+///      BFS; here ccseq::tile_components labels with union-find in the
+///      rank's own labels block, giving the same labels.  It leaves a
+///      component id per pixel and a table of the ids' labels, and only
+///      the border ring is rewritten to labels.
 ///   2. *log p merge iterations* (5.2-5.4), alternating horizontal and
 ///      vertical merges.  In each, the group manager (with its shadow
 ///      manager across the border) fetches the two border strips, sorts
@@ -17,7 +20,8 @@
 ///      problem, and publishes the sorted change array; every group member
 ///      then updates only its tile-border labels by binary search.
 ///   3. *Total consistency update*: after the last merge, each processor
-///      relabels its stale interiors from its hooks.
+///      writes its hooks' merged labels into its table and relabels the
+///      interior in one sweep, label = table[id].
 ///
 /// The labeling returned is the library-wide canonical one (see
 /// cc_seq/common.hpp), so it equals the sequential labelers' output

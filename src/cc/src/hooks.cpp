@@ -1,5 +1,7 @@
 #include "histcc/cc/hooks.hpp"
 
+#include <algorithm>
+
 #include "histcc/sortutil/radix.hpp"
 #include "histcc/util/require.hpp"
 
@@ -75,56 +77,23 @@ void update_all_labels(std::span<std::uint32_t> labels,
   }
 }
 
-void relabel_interior(std::span<std::uint32_t> labels, std::uint32_t rows,
-                      std::uint32_t cols, std::span<const TileHook> hooks,
-                      ccseq::Connectivity conn,
-                      std::vector<std::uint8_t>& visited) {
-  const std::size_t count = static_cast<std::size_t>(rows) * cols;
-  HISTCC_REQUIRE(labels.size() >= count, "label span too small");
-  visited.assign(count, 0);
-  const bool eight = conn == ccseq::Connectivity::kEight;
-
-  std::vector<std::uint32_t> queue;
+void consistency_update(std::span<std::uint32_t> labels, std::uint32_t rows,
+                        std::uint32_t cols, std::span<const TileHook> hooks,
+                        std::span<std::uint32_t> table) {
+  HISTCC_REQUIRE(labels.size() >= static_cast<std::size_t>(rows) * cols,
+                 "label span too small");
+  // Hooks ascend by initial label, and so does the table past the last
+  // entry written, so each hook's id is a binary search over that suffix.
+  auto unwritten = table.begin() + 1;
   for (const auto& hook : hooks) {
-    const std::uint32_t current = labels[hook.offset];
-    if (current == hook.label) continue;  // component label survived
-    const std::uint32_t stale = hook.label;
-    if (visited[hook.offset]) continue;
-
-    // BFS through the component: pixels still carrying the stale label or
-    // already carrying the final one.  Labels are unique per component, so
-    // the walk cannot escape into a neighbouring component.
-    queue.clear();
-    queue.push_back(hook.offset);
-    visited[hook.offset] = 1;
-    labels[hook.offset] = current;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::uint32_t idx = queue[head];
-      const std::uint32_t i = idx / cols;
-      const std::uint32_t j = idx % cols;
-      auto visit = [&](std::uint32_t ni, std::uint32_t nj) {
-        const std::uint32_t nidx = ni * cols + nj;
-        if (visited[nidx]) return;
-        if (labels[nidx] != stale && labels[nidx] != current) return;
-        visited[nidx] = 1;
-        labels[nidx] = current;
-        queue.push_back(nidx);
-      };
-      const bool has_n = i > 0;
-      const bool has_s = i + 1 < rows;
-      const bool has_w = j > 0;
-      const bool has_e = j + 1 < cols;
-      if (has_n) visit(i - 1, j);
-      if (has_s) visit(i + 1, j);
-      if (has_w) visit(i, j - 1);
-      if (has_e) visit(i, j + 1);
-      if (eight) {
-        if (has_n && has_w) visit(i - 1, j - 1);
-        if (has_n && has_e) visit(i - 1, j + 1);
-        if (has_s && has_w) visit(i + 1, j - 1);
-        if (has_s && has_e) visit(i + 1, j + 1);
-      }
-    }
+    const auto entry = std::lower_bound(unwritten, table.end(), hook.label);
+    HISTCC_ASSERT(entry != table.end() && *entry == hook.label);
+    *entry = labels[hook.offset];
+    unwritten = entry + 1;
+  }
+  for (std::uint32_t i = 1; i + 1 < rows; ++i) {
+    const auto row = labels.subspan(static_cast<std::size_t>(i) * cols, cols);
+    for (std::uint32_t j = 1; j + 1 < cols; ++j) row[j] = table[row[j]];
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/require.hpp"
 
@@ -61,26 +61,24 @@ img::LabelImage connected_components_label_prop(splitc::Machine& machine,
     const std::uint32_t gj = layout.proc_col(rank);
     auto my_px = tiles.local(self);
 
-    // Local components: comp_id per pixel (1-based; 0 = background) and the
-    // current (monotonically decreasing) label per component.
+    // Local components: comp_id per pixel (1-based; 0 = background), the
+    // labeler's forest, and the current (monotonically decreasing) label
+    // per component id (comp_labels[0] = 0, background).
     std::vector<std::uint32_t> comp_id(layout.tile_size(rank));
     std::vector<std::uint32_t> comp_labels;
     if (nonempty) {
       TRACE_SCOPE(self, "cc/prop_init");
-      ccseq::BfsScratch scratch;
-      std::uint32_t next_id = 0;
-      ccseq::label_tile(
+      ccseq::tile_components(
           my_px, std::span<std::uint32_t>(comp_id), q, r, conn, rule,
           [&](std::uint32_t i, std::uint32_t j) {
-            comp_labels.push_back(layout.initial_label(rank, i, j));
-            return ++next_id;
+            return layout.initial_label(rank, i, j);
           },
-          scratch);
-      self.charge_ops(12 * layout.tile_size(rank));  // BFS init, as in
-                                                     // parallel_cc
+          comp_labels);
+      self.charge_ops(12 * layout.tile_size(rank));  // the paper's BFS init,
+                                                     // as in parallel_cc
     }
     auto current_label = [&](std::size_t idx) -> std::uint32_t {
-      return comp_id[idx] == 0 ? 0 : comp_labels[comp_id[idx] - 1];
+      return comp_labels[comp_id[idx]];
     };
 
     // Halo ring of (q+2) x (r+2); we only ever read its outer ring.
@@ -197,7 +195,7 @@ img::LabelImage connected_components_label_prop(splitc::Machine& machine,
         const std::size_t idx = static_cast<std::size_t>(i) * r + j;
         const std::uint8_t colour = my_px[idx];
         if (colour == 0) return;
-        const std::uint32_t cid = comp_id[idx] - 1;
+        const std::uint32_t cid = comp_id[idx];
         for (int di = -1; di <= 1; ++di) {
           for (int dj = -1; dj <= 1; ++dj) {
             if (di == 0 && dj == 0) continue;

@@ -7,7 +7,7 @@
 #include "histcc/cc/border_graph.hpp"
 #include "histcc/cc/hooks.hpp"
 #include "histcc/cc/merge_schedule.hpp"
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/require.hpp"
 
@@ -16,21 +16,22 @@ namespace {
 
 // Abstract RAM operations charged per unit of work, so modeled Tcomp is
 // comparable with the calibrated per-op costs in splitc::MachineProfile
-// (one op = one histogram-tally pixel visit).  A BFS pixel visit touches
-// the queue, the mark, and up to eight neighbours; sorting and graph
-// construction cost a few ops per element.
-constexpr std::uint64_t kOpsPerLabeledPixel = 12;   // init BFS + hooks
+// (one op = one histogram-tally pixel visit).  The labeling constants
+// charge the paper's BFS, not the union-find labeler and table sweep the
+// host runs (DESIGN.md, Substitutions), so the modeled figures stay the
+// paper's: a BFS pixel visit touches the queue, the mark, and up to eight
+// neighbours; sorting and graph construction cost a few ops per element.
+constexpr std::uint64_t kOpsPerLabeledPixel = 12;      // paper's BFS + hooks
 constexpr std::uint64_t kOpsPerSortedBorderElem = 3;   // pack + radix sort
 constexpr std::uint64_t kOpsPerMergedBorderElem = 10;  // graph + BFS + changes
 constexpr std::uint64_t kOpsPerBorderUpdate = 4;       // binary search step
-constexpr std::uint64_t kOpsPerRelabeledPixel = 6;     // final BFS visit
+constexpr std::uint64_t kOpsPerRelabeledPixel = 6;     // paper's final BFS
 
 /// Everything one virtual processor needs across the merge iterations.
 struct ProcState {
   std::vector<std::uint32_t> border_offsets;  ///< my tile's border pixels
   std::vector<TileHook> hooks;
-  ccseq::BfsScratch bfs;
-  std::vector<std::uint8_t> visited;
+  std::vector<std::uint32_t> table;  ///< label of each tile component id
   // Manager-side staging for one merge.
   std::vector<std::uint8_t> lo_px, hi_px;
   std::vector<std::uint32_t> lo_lb, hi_lb;
@@ -77,17 +78,30 @@ void connected_components_parallel(splitc::Machine& machine,
     const std::uint32_t grid_col = layout.proc_col(rank);
 
     // -------- Phase 0: initialization (Section 5.1) --------
+    // The labels block is the labeler's forest; it leaves component ids
+    // there.  The merges read and update labels on the border ring only,
+    // so only the ring is rewritten to labels now (the whole tile under
+    // full_relabel_each_phase, whose merges update every pixel).
     auto my_px = tiles.local(self);
     auto my_lb = labels.local(self);
     TRACE_SPAN(self, "cc/init") {
       if (nonempty) {
-        ccseq::label_tile(
+        ccseq::tile_components(
             my_px, my_lb, q, r, options.connectivity, options.rule,
             [&](std::uint32_t i, std::uint32_t j) {
               return layout.initial_label(rank, i, j);
             },
-            st.bfs);
+            st.table);
         st.border_offsets = tile_border_offsets(q, r);
+        if (options.full_relabel_each_phase) {
+          for (auto& lb : my_lb.first(layout.tile_size(rank))) {
+            lb = st.table[lb];
+          }
+        } else {
+          for (const auto offset : st.border_offsets) {
+            my_lb[offset] = st.table[my_lb[offset]];
+          }
+        }
         st.hooks = make_tile_hooks(my_px, my_lb, st.border_offsets);
         labels.note_local_write(self);  // race-ledger epoch annotation
         self.charge_ops(kOpsPerLabeledPixel * layout.tile_size(rank));
@@ -296,8 +310,7 @@ void connected_components_parallel(splitc::Machine& machine,
     // -------- Total consistency update --------
     TRACE_SPAN(self, "cc/final") {
       if (!options.full_relabel_each_phase && nonempty) {
-        relabel_interior(my_lb, q, r, st.hooks, options.connectivity,
-                         st.visited);
+        consistency_update(my_lb, q, r, st.hooks, st.table);
         labels.note_local_write(self);  // race-ledger epoch annotation
         self.charge_ops(kOpsPerRelabeledPixel * layout.tile_size(rank));
       }

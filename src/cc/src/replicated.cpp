@@ -1,7 +1,7 @@
 #include "histcc/cc/replicated.hpp"
 
 #include "histcc/bdm/primitives.hpp"
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/util/math.hpp"
 #include "histcc/util/require.hpp"
 
@@ -34,12 +34,13 @@ img::LabelImage connected_components_replicated(splitc::Machine& machine,
     // Every processor labels the complete image — that is the point of
     // the baseline: the sequential work is fully replicated.
     std::vector<std::uint32_t> labels(total);
-    ccseq::BfsScratch bfs;
-    ccseq::label_tile(
+    std::vector<std::uint32_t> table;
+    ccseq::tile_components(
         replica.local(self), labels, h, w, conn, rule,
         [w](std::uint32_t i, std::uint32_t j) { return i * w + j + 1; },
-        bfs);
-    self.charge_ops(12 * total);  // same per-pixel BFS cost as parallel_cc
+        table);
+    for (auto& label : labels) label = table[label];
+    self.charge_ops(12 * total);  // the paper's BFS cost, as in parallel_cc
 
     if (self.rank() == 0) {
       std::copy(labels.begin(), labels.end(), result.pixels().begin());

@@ -107,11 +107,11 @@ std::vector<ccseq::ComponentStats> component_stats_parallel(
                                machine.nprocs());
   splitc::Spread<std::uint8_t> tiles(machine, layout.tile_sizes(),
                                      "stats_tiles");
-  splitc::Spread<std::uint32_t> label_tiles(machine, layout.tile_sizes(),
-                                            "stats_labels");
+  splitc::Spread<std::uint32_t> label_blocks(machine, layout.tile_sizes(),
+                                             "stats_labels");
   layout.scatter(image, tiles);
-  layout.scatter(labels, label_tiles);
-  return component_stats_parallel(machine, layout, tiles, label_tiles);
+  layout.scatter(labels, label_blocks);
+  return component_stats_parallel(machine, layout, tiles, label_blocks);
 }
 
 }  // namespace histcc::cc

@@ -12,10 +12,12 @@
 /// O(rows * cols).
 ///
 /// `label_tile` is the reusable core: it labels a rows x cols pixel block
-/// and lets the caller choose the label each seed position produces — the
-/// parallel algorithm passes the paper's globally unique tile label
-/// (I*q + i)*n + (J*r + j) + 1, the whole-image wrapper passes
-/// row*width + col + 1.
+/// and lets the caller choose the label each seed position produces (the
+/// whole-image wrapper passes row*width + col + 1).  The paper labels each
+/// tile of its parallel algorithm this way, and the modeled costs charge
+/// that BFS; the library's parallel backends label their tiles with
+/// union-find instead (ccseq::tile_components, same labels).  BFS stays
+/// as the independent oracle the differential suites anchor on.
 
 #include <cstdint>
 #include <span>

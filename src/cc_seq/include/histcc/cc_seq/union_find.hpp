@@ -2,32 +2,40 @@
 #define HISTCC_CC_SEQ_UNION_FIND_HPP
 
 /// \file union_find.hpp
-/// Classical two-pass union-find connected-components labeler.
+/// Two-pass union-find connected-components labeling, and the tile
+/// labeler every tile-labeling backend runs.
 ///
-/// This is the standard sequential algorithm (Rosenfeld-Pfaltz style first
-/// pass + union-find equivalence resolution) included as an independent
-/// baseline: it must produce exactly the same canonical labeling as the
-/// paper's BFS labeler, which the test suite exploits, and it anchors the
-/// sequential-time denominator in the efficiency numbers the benchmark
-/// harness reports.  The OpenMP backend (omp::connected_components_omp)
-/// runs the same first pass, `union_rows`, once per row strip.
+/// The first pass (Rosenfeld-Pfaltz style, `union_rows`) unites each pixel
+/// with its already-scanned neighbours in a disjoint-set forest; the
+/// second resolves each pixel to its set (Gupta et al., arXiv:1606.05973).
+/// `label_components_unionfind` is the sequential baseline: it must
+/// produce exactly the canonical labeling of the paper's BFS labeler,
+/// which the test suite exploits, and it anchors the sequential-time
+/// denominator in the efficiency numbers the benchmarks report.  The
+/// OpenMP backend (omp::connected_components_omp) runs `union_rows` once
+/// per row strip.  `tile_components` labels one tile into component ids
+/// and a table of their labels; the virtual-machine algorithms (parallel,
+/// label propagation, replicated) label their tiles with it.
 
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "histcc/cc_seq/common.hpp"
 #include "histcc/image/image.hpp"
+#include "histcc/util/require.hpp"
 
 namespace histcc::ccseq {
 
-/// Array-based disjoint-set forest with path halving and union by index
-/// (smaller index wins), sized for one slot per pixel.
+/// Disjoint-set forest with path halving and union by index (smaller
+/// index wins), over caller storage of one slot per element.
 class DisjointSets {
  public:
-  explicit DisjointSets(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      parent_[i] = static_cast<std::uint32_t>(i);
-    }
+  /// Make every element of `parent` its own set.  The storage must
+  /// outlive the forest.
+  explicit DisjointSets(std::span<std::uint32_t> parent) : parent_(parent) {
+    std::iota(parent_.begin(), parent_.end(), std::uint32_t{0});
   }
 
   /// Root of x's set, with path halving.
@@ -49,7 +57,8 @@ class DisjointSets {
 
   /// Merge the sets of a and b; the smaller root index becomes the root,
   /// so the root of every set is its minimum member — this is what makes
-  /// the final labeling canonical.
+  /// the final labeling canonical.  With path halving it also keeps every
+  /// parent at or below its element's index.
   void unite(std::uint32_t a, std::uint32_t b) noexcept {
     a = find(a);
     b = find(b);
@@ -61,26 +70,24 @@ class DisjointSets {
     }
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return parent_.size(); }
-
  private:
-  std::vector<std::uint32_t> parent_;
+  std::span<std::uint32_t> parent_;
 };
 
-/// The labeler's first pass over rows [row_begin, row_end): unites each
-/// foreground pixel with its already-scanned west, north-west, north and
-/// north-east neighbours that `conn` and `rule` let it join, in a forest
-/// with one slot per pixel (row-major).  Rows after the first link north;
-/// the first does only if `link_up` (and never row 0).  Without `link_up`
-/// a call reads and writes only its own rows' slots, so calls over
-/// disjoint row ranges may run concurrently on one forest.
-/// Defined in the header so it inlines into both callers' loops: an
+/// The labeler's first pass over rows [row_begin, row_end) of the
+/// row-major image `pixels`, `cols` wide: unites each foreground pixel
+/// with its already-scanned west, north-west, north and north-east
+/// neighbours that `conn` and `rule` let it join, in a forest with one
+/// slot per pixel.  Rows after the first link north; the first does only
+/// if `link_up` (and never row 0).  Without `link_up` a call reads and
+/// writes only its own rows' slots, so calls over disjoint row ranges may
+/// run concurrently on one forest.
+/// Defined in the header so it inlines into every caller's loop: an
 /// out-of-line copy measured slower in the sequential labeler.
-inline void union_rows(const img::GreyImage& image, DisjointSets& sets,
+inline void union_rows(std::span<const std::uint8_t> pixels,
+                       std::uint32_t cols, DisjointSets& sets,
                        std::uint32_t row_begin, std::uint32_t row_end,
                        bool link_up, Connectivity conn, ColourRule rule) {
-  const std::uint32_t cols = image.width();
-  const auto pixels = image.pixels();
   const bool eight = conn == Connectivity::kEight;
   const bool same_colour = rule == ColourRule::kSameColour;
 
@@ -103,6 +110,46 @@ inline void union_rows(const img::GreyImage& image, DisjointSets& sets,
           if (j > 0) try_union(idx - cols - 1);            // north-west
           if (j + 1 < cols) try_union(idx - cols + 1);     // north-east
         }
+      }
+    }
+  }
+}
+
+/// Label the rows x cols tile `pixels` (row-major) with union-find, using
+/// `forest` (at least rows*cols slots) as the disjoint-set storage.  On
+/// return forest[idx] holds the pixel's component id: 0 for background,
+/// else 1, 2, ... numbered in the scan order of each component's first
+/// pixel.  `table` is overwritten with one entry per id: table[0] =
+/// kBackgroundLabel and table[id] = seed_label(i, j) of that component's
+/// first pixel (i, j).  So table[forest[idx]] is exactly what the BFS
+/// tile labeler (bfs_label.hpp) writes for the same seed_label, and a
+/// seed_label that grows in scan order leaves table[1..] ascending.
+/// The second pass flattens the forest in place in one forward sweep:
+/// union by smaller index with path halving keeps every parent at or
+/// below its pixel's index, so a non-root pixel's parent already holds
+/// the component's id when the sweep reaches it.
+template <typename LabelFn>
+void tile_components(std::span<const std::uint8_t> pixels,
+                     std::span<std::uint32_t> forest, std::uint32_t rows,
+                     std::uint32_t cols, Connectivity conn, ColourRule rule,
+                     LabelFn&& seed_label, std::vector<std::uint32_t>& table) {
+  const std::size_t count = static_cast<std::size_t>(rows) * cols;
+  HISTCC_REQUIRE(pixels.size() >= count && forest.size() >= count,
+                 "tile spans too small");
+  DisjointSets sets(forest.first(count));
+  union_rows(pixels, cols, sets, 0, rows, /*link_up=*/false, conn, rule);
+
+  table.assign(1, kBackgroundLabel);
+  std::size_t idx = 0;
+  for (std::uint32_t i = 0; i < rows; ++i) {
+    for (std::uint32_t j = 0; j < cols; ++j, ++idx) {
+      if (pixels[idx] == 0) {
+        forest[idx] = kBackgroundLabel;
+      } else if (forest[idx] == idx) {  // root: the component's first pixel
+        forest[idx] = static_cast<std::uint32_t>(table.size());
+        table.push_back(seed_label(i, j));
+      } else {
+        forest[idx] = forest[forest[idx]];
       }
     }
   }

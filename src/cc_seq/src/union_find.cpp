@@ -10,8 +10,10 @@ img::LabelImage label_components_unionfind(const img::GreyImage& image,
   img::LabelImage labels(rows, cols);
   if (image.empty()) return labels;
 
-  DisjointSets sets(static_cast<std::size_t>(rows) * cols);
-  union_rows(image, sets, 0, rows, /*link_up=*/false, conn, rule);
+  std::vector<std::uint32_t> parent(static_cast<std::size_t>(rows) * cols);
+  DisjointSets sets(parent);
+  union_rows(image.pixels(), cols, sets, 0, rows, /*link_up=*/false, conn,
+             rule);
 
   // Second pass: the root of each set is its minimum pixel index (union by
   // index), so root + 1 is exactly the canonical label.

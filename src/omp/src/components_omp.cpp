@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "histcc/cc_seq/union_find.hpp"
 #include "histcc/omp/epoch_check.hpp"
@@ -41,7 +42,9 @@ img::LabelImage connected_components_omp(const img::GreyImage& image,
   };
 
   const std::size_t total = static_cast<std::size_t>(rows) * cols;
-  ccseq::DisjointSets sets(total);
+  const auto px = image.pixels();
+  std::vector<std::uint32_t> parent(total);
+  ccseq::DisjointSets sets(parent);
   std::unique_ptr<EpochChecker> chk;
   std::shared_ptr<splitc::ArrayShadow> sh_parent;
   std::shared_ptr<splitc::ArrayShadow> sh_labels;
@@ -62,7 +65,7 @@ img::LabelImage connected_components_omp(const img::GreyImage& image,
     if (t == 0) team = n;
     const std::uint32_t lo = strip_begin(t, n);
     const std::uint32_t hi = strip_begin(t + 1, n);
-    ccseq::union_rows(image, sets, lo, hi, /*link_up=*/false, conn, rule);
+    ccseq::union_rows(px, cols, sets, lo, hi, /*link_up=*/false, conn, rule);
     if (chk) {
       chk->note_write(*sh_parent, t, static_cast<std::size_t>(lo) * cols,
                       static_cast<std::size_t>(hi - lo) * cols);
@@ -75,7 +78,7 @@ img::LabelImage connected_components_omp(const img::GreyImage& image,
   // strip's first row with upward links enabled.
   for (unsigned t = 1; t < team; ++t) {
     const std::uint32_t row = strip_begin(t, team);
-    ccseq::union_rows(image, sets, row, row + 1, /*link_up=*/true, conn,
+    ccseq::union_rows(px, cols, sets, row, row + 1, /*link_up=*/true, conn,
                       rule);
   }
   if (chk) {
@@ -88,7 +91,6 @@ img::LabelImage connected_components_omp(const img::GreyImage& image,
   // Pass 3 (parallel, read-only): resolve every pixel to its root.
   // Manual static ranges (equivalent to schedule(static)) so each
   // thread's label slice is explicit for the epoch annotation.
-  const auto px = image.pixels();
   auto out = labels.pixels();
 #pragma omp parallel num_threads(threads)
   {

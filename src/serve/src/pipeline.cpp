@@ -5,7 +5,7 @@
 #include <chrono>
 #include <utility>
 
-#include "histcc/cc_seq/bfs_label.hpp"
+#include "histcc/cc_seq/union_find.hpp"
 #include "histcc/hist/histogram.hpp"
 #include "histcc/trace/trace.hpp"
 #include "histcc/util/math.hpp"
@@ -188,8 +188,8 @@ PendingJob<img::LabelImage> Pipeline::submit_components(img::GreyImage image,
         return cc::connected_components_parallel(machine, im, options);
       },
       [options](const img::GreyImage& im) {
-        return ccseq::label_components_bfs(im, options.connectivity,
-                                           options.rule);
+        return ccseq::label_components_unionfind(im, options.connectivity,
+                                                 options.rule);
       });
 }
 

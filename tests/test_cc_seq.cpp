@@ -1,12 +1,20 @@
 // Tests for the sequential labelers (Section 5.1 BFS and the union-find
 // baseline): known tiny cases, connectivity/colour-rule semantics, the
-// canonical labeling property, and cross-validation of the two labelers.
+// canonical labeling property, cross-validation of the two labelers, and
+// the union-find tile labeler's ids and table against BFS tile labels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cc_differential.hpp"
 #include "histcc/cc_seq/analysis.hpp"
 #include "histcc/cc_seq/bfs_label.hpp"
 #include "histcc/cc_seq/union_find.hpp"
 #include "histcc/image/generators.hpp"
+#include "histcc/image/layout.hpp"
 
 namespace cs = histcc::ccseq;
 namespace im = histcc::img;
@@ -119,7 +127,8 @@ TEST(UnionFindTest, MatchesBfsOnPercolation) {
 }
 
 TEST(DisjointSetsTest, RootIsMinimumMember) {
-  cs::DisjointSets sets(10);
+  std::vector<std::uint32_t> parent(10, 77);  // the forest overwrites it
+  cs::DisjointSets sets(parent);
   sets.unite(3, 7);
   sets.unite(7, 5);
   sets.unite(9, 3);
@@ -131,6 +140,69 @@ TEST(DisjointSetsTest, RootIsMinimumMember) {
   EXPECT_EQ(sets.find(9), 1u);
   for (std::uint32_t x = 0; x < 10; ++x) {
     EXPECT_EQ(sets.root(x), sets.find(x)) << "x=" << x;
+    EXPECT_LE(parent[x], x) << "x=" << x;  // the forest lives in `parent`
+  }
+}
+
+// tile_components' ids mapped through its table must give exactly the BFS
+// tile labels, with the seed labels of a tile inside a layout (rank 6 of a
+// 4 x 4 grid, whose labels are neither the identity nor 1-based ids).
+TEST(TileComponentsTest, TableOfIdsEqualsBfsTileLabels) {
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {1, 1}, {1, 7}, {7, 1}, {2, 2}, {97, 63}, {256, 256}};
+  for (const auto& [rows, cols] : shapes) {
+    const std::uint32_t n = std::max({64u, rows, cols});
+    std::vector<std::pair<std::string, im::GreyImage>> inputs;
+    for (int id = 1; id <= im::kNumTestPatterns; ++id) {
+      const auto pattern = static_cast<im::TestPattern>(id);
+      inputs.emplace_back(std::string(im::pattern_name(pattern)),
+                          crop(im::make_test_pattern(pattern, n), rows, cols));
+    }
+    inputs.emplace_back("percolation-0.59",
+                        crop(im::make_percolation(n, 0.59, 5), rows, cols));
+    inputs.emplace_back("darpa-like", crop(im::make_darpa_like(n), rows, cols));
+
+    const im::TileLayout layout(4 * rows, 4 * cols, 16);
+    const std::uint32_t rank = layout.rank_at(1, 2);
+    ASSERT_EQ(layout.tile_rows(rank), rows);
+    ASSERT_EQ(layout.tile_cols(rank), cols);
+    const auto seed_label = [&](std::uint32_t i, std::uint32_t j) {
+      return layout.initial_label(rank, i, j);
+    };
+    for (const auto& [name, image] : inputs) {
+      for (const auto conn : {cs::Connectivity::kFour, cs::Connectivity::kEight}) {
+        for (const auto rule :
+             {cs::ColourRule::kBinary, cs::ColourRule::kSameColour}) {
+          const std::size_t count = image.size();
+          std::vector<std::uint32_t> want(count);
+          cs::BfsScratch scratch;
+          cs::label_tile(image.pixels(), want, rows, cols, conn, rule,
+                         seed_label, scratch);
+          std::vector<std::uint32_t> ids(count);
+          std::vector<std::uint32_t> table{5, 6, 7};  // overwritten
+          cs::tile_components(image.pixels(), ids, rows, cols, conn, rule,
+                              seed_label, table);
+          const std::string what = name + " " + std::to_string(rows) + "x" +
+                                   std::to_string(cols) + " conn " +
+                                   std::to_string(static_cast<int>(conn)) +
+                                   " rule " +
+                                   std::to_string(static_cast<int>(rule));
+          ASSERT_EQ(table[0], cs::kBackgroundLabel) << what;
+          // Ids are numbered in scan order, so the labels ascend.
+          for (std::size_t id = 2; id < table.size(); ++id) {
+            ASSERT_LT(table[id - 1], table[id]) << what;
+          }
+          std::uint32_t next_id = 1;
+          for (std::size_t idx = 0; idx < count; ++idx) {
+            ASSERT_LT(ids[idx], table.size()) << what;
+            ASSERT_EQ(table[ids[idx]], want[idx]) << what << " pixel " << idx;
+            if (ids[idx] == next_id) ++next_id;  // first pixel of a new id
+            ASSERT_LT(ids[idx], next_id) << what << " pixel " << idx;
+          }
+          EXPECT_EQ(next_id, table.size()) << what;
+        }
+      }
+    }
   }
 }
 

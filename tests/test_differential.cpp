@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cc_differential.hpp"
 #include "hist_reference.hpp"
 #include "histcc/cc/parallel_cc.hpp"
 #include "histcc/cc/replicated.hpp"
@@ -45,40 +46,6 @@ namespace {
 // power-of-two subset, the OpenMP mirror uses all of them.
 constexpr std::uint32_t kSplitcProcs[] = {1, 4, 16};
 constexpr unsigned kOmpThreads[] = {1, 3, 4, 7, 16};
-
-void expect_labels_equal(const im::LabelImage& got, const im::LabelImage& want,
-                         const std::string& what) {
-  ASSERT_EQ(got.height(), want.height()) << what;
-  ASSERT_EQ(got.width(), want.width()) << what;
-  const auto g = got.pixels();
-  const auto w = want.pixels();
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (g[i] != w[i]) {
-      if (++mismatches <= 3) {
-        ADD_FAILURE() << what << ": label mismatch at pixel " << i << ": got "
-                      << g[i] << ", want " << w[i];
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0u) << what;
-}
-
-/// Adversarial comb: a full top spine with every other column a tooth
-/// running the whole height.  One giant component whose connectivity is
-/// discovered only at the strip/tile boundaries — the worst case for the
-/// merge phases — at a deliberately awkward odd size.
-im::GreyImage make_comb(std::uint32_t rows, std::uint32_t cols) {
-  im::GreyImage image(rows, cols);
-  auto px = image.pixels();
-  for (std::uint32_t j = 0; j < cols; ++j) px[j] = 1;
-  for (std::uint32_t i = 1; i < rows; ++i) {
-    for (std::uint32_t j = 0; j < cols; j += 2) {
-      px[static_cast<std::size_t>(i) * cols + j] = 1;
-    }
-  }
-  return image;
-}
 
 struct CcCase {
   std::string name;

@@ -18,13 +18,8 @@
 // temporarily extended by the printed value.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <iostream>
-#include <random>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,6 +30,7 @@
 #include "histcc/splitc/machine.hpp"
 #include "histcc/splitc/race_ledger.hpp"
 #include "histcc/splitc/spread.hpp"
+#include "stress_seeds.hpp"
 
 namespace cc = histcc::cc;
 namespace ccseq = histcc::ccseq;
@@ -47,32 +43,10 @@ namespace {
 constexpr std::uint64_t kFixedSeeds[] = {1,          2,       42,
                                          0xDEADBEEF, 7777777, 987654321012345ull};
 
-/// The seed sweep for this process: the fixed catalog, or — with
-/// HISTCC_STRESS_RANDOM=1 — freshly drawn seeds (nightly mode).  Drawn
-/// once and printed so any failure can be replayed.
+/// The seed sweep for this process (stress_seeds.hpp), drawn once so both
+/// tests see the same seeds.
 const std::vector<std::uint64_t>& stress_seeds() {
-  static const std::vector<std::uint64_t> seeds = [] {
-    const char* random_mode = std::getenv("HISTCC_STRESS_RANDOM");
-    if (random_mode == nullptr || std::string_view(random_mode) != "1") {
-      return std::vector<std::uint64_t>(std::begin(kFixedSeeds),
-                                        std::end(kFixedSeeds));
-    }
-    std::size_t count = 8;
-    if (const char* n = std::getenv("HISTCC_STRESS_SEEDS")) {
-      count = std::max<std::size_t>(1, std::strtoull(n, nullptr, 10));
-    }
-    std::random_device device;
-    std::vector<std::uint64_t> drawn(count);
-    for (auto& seed : drawn) {
-      seed = (static_cast<std::uint64_t>(device()) << 32) | device();
-      if (seed == 0) seed = 1;  // 0 means "perturbation off"
-    }
-    std::cout << "[stress] HISTCC_STRESS_RANDOM=1: drew " << drawn.size()
-              << " random seeds:";
-    for (const auto seed : drawn) std::cout << ' ' << seed;
-    std::cout << '\n';
-    return drawn;
-  }();
+  static const std::vector<std::uint64_t> seeds = stress_seed_sweep(kFixedSeeds);
   return seeds;
 }
 
